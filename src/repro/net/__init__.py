@@ -3,7 +3,7 @@ firewalls, ARP, OS profiles, passive capture, and LAN builders."""
 
 from repro.net.addresses import (
     BROADCAST_MAC, ETHERTYPE_ARP, ETHERTYPE_IP, PROTO_TCP, PROTO_UDP,
-    MacAllocator, Subnet,
+    MacAllocator, Subnet, SubnetExhausted,
 )
 from repro.net.arp import ArpTable
 from repro.net.firewall import (
@@ -28,7 +28,7 @@ from repro.net.tap import Capture, PacketRecord, record_from_frame
 
 __all__ = [
     "BROADCAST_MAC", "ETHERTYPE_ARP", "ETHERTYPE_IP", "PROTO_TCP", "PROTO_UDP",
-    "MacAllocator", "Subnet", "ArpTable",
+    "MacAllocator", "Subnet", "SubnetExhausted", "ArpTable",
     "Firewall", "FirewallRule", "INBOUND", "OUTBOUND",
     "locked_down_firewall", "open_firewall",
     "Host", "Interface", "TcpConnection", "Lan", "Link",

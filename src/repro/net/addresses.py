@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ipaddress
+from typing import Dict
 
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
 
@@ -28,11 +29,47 @@ class MacAllocator:
         return ":".join(f"{o:02x}" for o in octets)
 
 
+#: Bound on the process-wide address memo.  A 25-substation city has a
+#: few hundred addresses; scans and spoofing campaigns add a few
+#: thousand more.
+_IP_INT_CAP = 65536
+_ip_ints: Dict[str, int] = {}
+
+
+def ip_int(ip: str) -> int:
+    """Integer value of a dotted-quad address, parsed once per process.
+
+    Malformed text raises the stdlib's ``ValueError`` every time (a
+    failure is never remembered).  The memo is a pure function of its
+    key, lives at module level and is never pickled, so it cannot carry
+    state between simulations or into a snapshot.
+    """
+    value = _ip_ints.get(ip)
+    if value is None:
+        value = int(ipaddress.IPv4Address(ip))
+        if len(_ip_ints) >= _IP_INT_CAP:
+            _ip_ints.clear()
+        _ip_ints[ip] = value
+    return value
+
+
+class SubnetExhausted(RuntimeError):
+    """:meth:`Subnet.allocate` has handed out every usable address."""
+
+    def __init__(self, cidr: str):
+        super().__init__(f"subnet {cidr} exhausted")
+        self.cidr = cidr
+
+
 class Subnet:
     """An IPv4 subnet with sequential address allocation."""
 
     def __init__(self, cidr: str):
         self.network = ipaddress.ip_network(cidr)
+        # Membership is tested per packet: keep the network and mask as
+        # ints so contains() is one AND and one compare.
+        self._net = int(self.network.network_address)
+        self._mask = int(self.network.netmask)
         # Plain index cursor (not a hosts() generator): generators are
         # unpicklable and would block repro.snapshot.  Allocation order
         # is identical — first usable host address upward.
@@ -54,15 +91,14 @@ class Subnet:
         if self.network.prefixlen < 31:
             last -= 1
         if address > last:
-            raise StopIteration(f"subnet {self.network} exhausted")
+            raise SubnetExhausted(self.cidr)
         self._next_index += 1
         return str(address)
 
     def contains(self, ip: str) -> bool:
-        return ipaddress.ip_address(ip) in self.network
+        return (ip_int(ip) & self._mask) == self._net
 
 
 def same_subnet(ip_a: str, ip_b: str, cidr: str) -> bool:
-    network = ipaddress.ip_network(cidr)
-    return (ipaddress.ip_address(ip_a) in network
-            and ipaddress.ip_address(ip_b) in network)
+    subnet = Subnet(cidr)
+    return subnet.contains(ip_a) and subnet.contains(ip_b)

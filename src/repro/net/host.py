@@ -13,7 +13,7 @@ yields its key ring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import AbstractSet, Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.keys import KeyRing
 from repro.net.addresses import (
@@ -155,6 +155,7 @@ class Host(Process):
         self.os_profile = os_profile or centos_minimal_latest()
         self.firewall = firewall or open_firewall()
         self.interfaces: List[Interface] = []
+        self._local_ips: Set[str] = set()
         # If True, any interface answers ARP requests for any local IP —
         # the default Linux behaviour the paper explicitly disabled.
         self.arp_announce_all = False
@@ -187,6 +188,7 @@ class Host(Process):
                       static_arp: bool = False) -> Interface:
         iface = Interface(self, name, mac, ip, cidr, static_arp=static_arp)
         self.interfaces.append(iface)
+        self._local_ips.add(ip)
         if link is not None:
             iface.attach(link)
         return iface
@@ -197,10 +199,16 @@ class Host(Process):
         Falls back to the first interface with a default gateway set —
         see :attr:`default_gateway`.
         """
+        return self._resolve(dst_ip)[0]
+
+    def _resolve(self, dst_ip: str) -> Tuple[Optional[Interface], Optional[str]]:
+        """``(interface, next hop)`` toward ``dst_ip``: on-link through
+        the first interface whose subnet contains it, else the default
+        gateway; ``(None, None)`` with neither."""
         for iface in self.interfaces:
             if iface.subnet.contains(dst_ip):
-                return iface
-        return self._gateway_iface
+                return iface, dst_ip
+        return self._gateway_iface, self._gateway_ip
 
     def set_default_gateway(self, iface: Interface, gateway_ip: str) -> None:
         self._gateway_ip = gateway_ip
@@ -209,8 +217,9 @@ class Host(Process):
     _gateway_ip: Optional[str] = None
     _gateway_iface: Optional[Interface] = None
 
-    def local_ips(self) -> List[str]:
-        return [iface.ip for iface in self.interfaces]
+    def local_ips(self) -> AbstractSet[str]:
+        """This host's interface addresses (kept by :meth:`add_interface`)."""
+        return self._local_ips
 
     def set_sniffer(self, fn: Optional[Callable[[Interface, Frame], None]]) -> None:
         """Install a promiscuous packet handler (attacker primitive)."""
@@ -234,16 +243,19 @@ class Host(Process):
                  spoof_src_ip: Optional[str] = None) -> bool:
         """Send a UDP datagram.  ``spoof_src_ip`` is the attacker's
         IP-spoofing primitive (honest code never sets it)."""
-        iface = iface or self.interface_for(dst_ip)
         if iface is None:
-            return False
+            iface, next_hop = self._resolve(dst_ip)
+            if iface is None:
+                return False
+        else:
+            next_hop = self._next_hop(iface, dst_ip)
         src_ip = spoof_src_ip or iface.ip
         if not self.firewall.check(OUTBOUND, PROTO_UDP, dst_ip, src_port, dst_port):
             return False
         datagram = UdpDatagram(src_port=src_port, dst_port=dst_port, payload=payload)
         packet = IpPacket(src_ip=src_ip, dst_ip=dst_ip, proto=PROTO_UDP,
                           payload=datagram)
-        return self._route_out(iface, packet)
+        return self._send_via(iface, next_hop, packet)
 
     # ------------------------------------------------------------------
     # TCP API (simplified)
@@ -334,12 +346,21 @@ class Host(Process):
                           payload=payload)
         return self._route_out(iface, packet)
 
+    def _next_hop(self, iface: Interface, dst_ip: str) -> Optional[str]:
+        """Next hop for ``dst_ip`` out of a given interface, if any."""
+        if iface.subnet.contains(dst_ip):
+            return dst_ip
+        if self._gateway_ip is not None and iface is self._gateway_iface:
+            return self._gateway_ip
+        return None
+
     def _route_out(self, iface: Interface, packet: IpPacket) -> bool:
-        if iface.subnet.contains(packet.dst_ip):
-            next_hop = packet.dst_ip
-        elif self._gateway_ip is not None and iface is self._gateway_iface:
-            next_hop = self._gateway_ip
-        else:
+        return self._send_via(iface, self._next_hop(iface, packet.dst_ip),
+                              packet)
+
+    def _send_via(self, iface: Interface, next_hop: Optional[str],
+                  packet: IpPacket) -> bool:
+        if next_hop is None:
             return False
         mac = iface.arp.lookup(next_hop, self.now)
         if mac is None:
@@ -412,7 +433,7 @@ class Host(Process):
                 self._arp_flush(iface, arp.sender_ip, mac)
 
     def _ip_in(self, iface: Interface, packet: IpPacket) -> None:
-        if packet.dst_ip in self.local_ips():
+        if packet.dst_ip in self._local_ips:
             self._local_deliver(iface, packet)
         elif self.ip_forwarding:
             self._forward(iface, packet)

@@ -78,13 +78,6 @@ class Link:
                 return idx
         raise RuntimeError(f"link {self.name} already has two endpoints")
 
-    def other_end(self, endpoint: LinkEndpoint) -> Optional[LinkEndpoint]:
-        if self._ends[0] is endpoint:
-            return self._ends[1]
-        if self._ends[1] is endpoint:
-            return self._ends[0]
-        raise RuntimeError(f"{endpoint.endpoint_name} not attached to link {self.name}")
-
     def add_tap(self, tap: Callable[[Frame, "Link", float], None]) -> None:
         """Register a passive capture callback (MANA's packet feed)."""
         self._taps.append(tap)
@@ -124,7 +117,14 @@ class Link:
             self.frames_dropped += 1
             self._metric_dropped.inc()
             return False
-        receiver = self.other_end(sender)
+        ends = self._ends
+        if ends[0] is sender:
+            direction, receiver = 0, ends[1]
+        elif ends[1] is sender:
+            direction, receiver = 1, ends[0]
+        else:
+            raise RuntimeError(
+                f"{sender.endpoint_name} not attached to link {self.name}")
         if receiver is None:
             self.frames_dropped += 1
             self._metric_dropped.inc()
@@ -135,7 +135,6 @@ class Link:
             self._metric_lost.inc()
             return False
 
-        direction = 0 if self._ends[0] is sender else 1
         size = frame.wire_size()
         now = self.sim.now
 

@@ -8,13 +8,10 @@ feature extractor see realistic byte counts.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Optional
 
 from repro.net.addresses import ETHERTYPE_ARP, ETHERTYPE_IP, PROTO_TCP, PROTO_UDP
-
-_packet_ids = itertools.count(1)
 
 ETHER_HEADER = 14
 IP_HEADER = 20
@@ -90,20 +87,32 @@ class IpPacket:
 
 @dataclass
 class Frame:
-    """Ethernet frame — the unit carried by links and switches."""
+    """Ethernet frame — the unit carried by links and switches.
+
+    A frame and the packet, datagram and message inside it are never
+    mutated once built (tampering builds new objects), so the wire size
+    is worked out on first use and kept: every link the frame crosses
+    and every tap that sees it reads the same int instead of recursing
+    through four layers again.
+    """
 
     src_mac: str
     dst_mac: str
     ethertype: str           # ETHERTYPE_IP | ETHERTYPE_ARP
     payload: Any = None
-    frame_id: int = field(default_factory=lambda: next(_packet_ids))
+    _wire_size: Optional[int] = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def wire_size(self) -> int:
-        return ETHER_HEADER + payload_size(self.payload)
+        size = self._wire_size
+        if size is None:
+            size = self._wire_size = ETHER_HEADER + payload_size(self.payload)
+        return size
 
     def copy(self) -> "Frame":
-        """Shallow copy with a fresh frame id (for forwarding/injection)."""
-        return replace(self, frame_id=next(_packet_ids))
+        """Shallow copy (for forwarding/injection); goes through
+        ``__init__``, so the copy sizes itself afresh."""
+        return replace(self)
 
 
 def udp_frame(src_mac: str, dst_mac: str, src_ip: str, dst_ip: str,

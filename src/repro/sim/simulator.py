@@ -4,7 +4,8 @@ Every component in the reproduction — hosts, switches, overlay daemons,
 BFT replicas, PLCs, attackers, the measurement device — runs inside one
 :class:`Simulator`.  The kernel provides:
 
-* an event heap ordered by (time, tie-breaker) for deterministic replay,
+* an event heap of ``(time, seq, event)`` tuples — ordered by time, then
+  scheduling order, for deterministic replay,
 * cancellable one-shot events and periodic timers,
 * a root :class:`~repro.util.rng.DeterministicRng` and shared
   :class:`~repro.util.eventlog.EventLog`.
@@ -16,7 +17,6 @@ clock, so latency results are reproducible across machines.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.telemetry.metrics import MetricsRegistry
@@ -32,16 +32,6 @@ class SimulationError(RuntimeError):
 #: Free-list bound: recycled Event objects kept per simulator.
 _FREE_LIST_CAP = 4096
 
-def _count_value(counter: "itertools.count") -> int:
-    """Next value of an ``itertools.count`` without consuming it.
-
-    ``repr(count(7))`` is ``"count(7)"`` — parsing it is the only way to
-    read the cursor without the side effect of ``next()``.
-    """
-    text = repr(counter)
-    return int(text[text.index("(") + 1:-1].split(",")[0])
-
-
 #: Lazy-cancellation sweep threshold: once more than this many cancelled
 #: events sit in the heap *and* they outnumber live entries, the heap is
 #: compacted in place instead of waiting for the run loop to reach them.
@@ -49,7 +39,11 @@ _SWEEP_MIN_CANCELLED = 64
 
 
 class Event:
-    """A scheduled callback.  Returned by scheduling calls for cancellation."""
+    """A scheduled callback.  Returned by scheduling calls for cancellation.
+
+    The heap orders ``(time, seq, event)`` tuples, and ``seq`` is unique
+    per simulator, so events themselves are never compared.
+    """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired",
                  "periodic", "recyclable", "_sim")
@@ -82,9 +76,6 @@ class Event:
             if (sim._cancelled_in_heap > _SWEEP_MIN_CANCELLED
                     and sim._cancelled_in_heap * 2 > len(sim._heap)):
                 sim._sweep_cancelled()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -143,8 +134,8 @@ class Simulator:
     def __init__(self, seed: int = 0, *, telemetry: bool = True,
                  trace_retention: Optional[int] = None):
         self._now = 0.0
-        self._heap: List[Event] = []
-        self._seq = itertools.count()
+        self._heap: List[Tuple[float, int, Event]] = []
+        self._seq = 0                    # next heap tie-breaker
         self._events_executed = 0
         self._events_cancelled = 0       # cancelled events reaped so far
         self._cancelled_in_heap = 0      # cancelled but not yet reaped
@@ -183,20 +174,12 @@ class Simulator:
     # Snapshot support (repro.snapshot)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        """Picklable state: ``itertools.count`` carries no pickle support,
-        so ``_seq`` is flattened to its next value.
-
-        The value is recovered from ``repr(count)`` instead of calling
-        ``next()`` — saving a snapshot must never mutate the live
-        simulator (auto-checkpoints save mid-run and keep going).
-        """
+        """Everything but the free-list: it is a cache of up to
+        ``_FREE_LIST_CAP`` spent Event objects (a fifth of a town5
+        snapshot), and a restored kernel refills it as posts fire."""
         state = self.__dict__.copy()
-        state["_seq"] = _count_value(state["_seq"])
+        state["_free"] = []
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        state["_seq"] = itertools.count(state["_seq"])
-        self.__dict__.update(state)
 
     def event_digest(self) -> str:
         """Hash of the full executed-event record for byte-identity checks.
@@ -286,9 +269,11 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}")
-        event = Event(time, next(self._seq), fn, args)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, fn, args)
         event._sim = self
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
         return event
 
     def post(self, delay: float, fn: Callable, *args: Any) -> None:
@@ -309,19 +294,21 @@ class Simulator:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}")
+        seq = self._seq
+        self._seq = seq + 1
         free = self._free
         if free:
             event = free.pop()
             event.time = time
-            event.seq = next(self._seq)
+            event.seq = seq
             event.fn = fn
             event.args = args
             event.cancelled = False
             event.fired = False
         else:
-            event = Event(time, next(self._seq), fn, args)
+            event = Event(time, seq, fn, args)
             event.recyclable = True
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time, seq, event))
 
     def every(self, period: float, fn: Callable, *args: Any,
               start_after: Optional[float] = None) -> PeriodicTimer:
@@ -344,7 +331,7 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if event.cancelled:
                 self._cancelled_in_heap -= 1
                 self._events_cancelled += 1
@@ -372,7 +359,7 @@ class Simulator:
         alias stays valid.
         """
         heap = self._heap
-        live = [e for e in heap if not e.cancelled]
+        live = [entry for entry in heap if not entry[2].cancelled]
         removed = len(heap) - len(live)
         if removed:
             heap[:] = live
@@ -424,13 +411,13 @@ class Simulator:
         free = self._free
         executed = 0
         try:
-            head = heap[0] if heap else None
+            head = heap[0][2] if heap else None
             while head is not None and not self._halted:
                 if head.cancelled:
                     pop(heap)
                     self._cancelled_in_heap -= 1
                     self._events_cancelled += 1
-                    head = heap[0] if heap else None
+                    head = heap[0][2] if heap else None
                     continue
                 if until is not None and head.time > until:
                     break
@@ -457,7 +444,7 @@ class Simulator:
                     if not heap or self._halted:
                         head = None
                         break
-                    head = heap[0]
+                    head = heap[0][2]
                     if head.time != now or head.cancelled:
                         break
                     if max_events is not None and executed >= max_events:

@@ -121,18 +121,18 @@ def _digest_fields(body: Any) -> Any:
     """A canonicalizable projection of the envelope body.
 
     ``OverlayMessage`` payloads are arbitrary Python objects (Prime
-    messages, Modbus frames...).  The MAC covers routing-relevant fields
-    plus the object identity of the payload via ``id`` — sufficient for
-    the simulation because payload objects are never mutated in flight
+    messages, Modbus frames...).  The MAC covers the routed fields
+    (``src``, ``dst``, ``service``, ``seq``, ``src_daemon``) through the
+    message's own ``view_digest()`` — SHA-256 over exactly those fields,
+    already paid for by the source signature and cached on the message,
+    so a flood step does not encode them again — plus the object
+    identity of the payload via ``id``.  That is sufficient for the
+    simulation because payload objects are never mutated in flight
     except through the explicit tamper APIs, which replace the object
     (changing its id) and therefore break the MAC.
     """
     if isinstance(body, OverlayMessage):
-        return {
-            "src": list(body.src), "dst": list(body.dst),
-            "service": body.service, "seq": body.seq,
-            "src_daemon": body.src_daemon, "payload_id": id(body.payload),
-        }
+        return {"view": body.view_digest(), "payload_id": id(body.payload)}
     if isinstance(body, dict):
         return {k: str(v) for k, v in body.items()}
     return str(body)

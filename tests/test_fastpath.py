@@ -1,0 +1,186 @@
+"""Differential tests for the per-hop fast path (PR 13).
+
+Each fast path is held against the slow computation it replaced:
+integer subnet membership against the stdlib ``ipaddress`` module, the
+size a frame keeps against a fresh recursive sizing, and the link MAC
+that reuses the body's view digest against every way the body can
+differ.  There is no switch that turns these paths off — the reference
+implementations live here.
+"""
+
+import ipaddress
+from dataclasses import replace
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.api import GridSpec, build_world
+from repro.crypto import KeyStore, mac_payload, set_cache_enabled, verify_mac
+from repro.net import Subnet, udp_frame
+from repro.net.addresses import ip_int, same_subnet
+from repro.net.packet import ETHER_HEADER, payload_size
+from repro.spines.messages import IT_FLOOD, RELIABLE, LinkEnvelope, OverlayMessage
+
+
+# ---------------------------------------------------------------------------
+# Subnet.contains == ipaddress membership
+# ---------------------------------------------------------------------------
+addresses = st.integers(0, 2**32 - 1).map(
+    lambda value: str(ipaddress.IPv4Address(value)))
+cidrs = st.tuples(st.integers(0, 2**32 - 1), st.integers(8, 32)).map(
+    lambda pair: str(ipaddress.ip_network((pair[0], pair[1]), strict=False)))
+
+
+@given(cidrs, addresses, st.data())
+def test_subnet_contains_matches_ipaddress(cidr, outside, data):
+    network = ipaddress.ip_network(cidr)
+    # A uniformly random address almost never falls inside a long
+    # prefix: draw one from inside the network as well.
+    inside = str(network[data.draw(
+        st.integers(0, network.num_addresses - 1))])
+    subnet = Subnet(cidr)
+    for ip in (outside, inside, str(network.network_address),
+               str(network.broadcast_address)):
+        expected = ipaddress.ip_address(ip) in network
+        assert subnet.contains(ip) is expected
+        assert same_subnet(ip, inside, cidr) is expected
+    assert subnet.cidr == cidr
+
+
+@given(st.text(max_size=20).filter(lambda text: not _parses(text)))
+def test_malformed_addresses_raise_value_error(text):
+    subnet = Subnet("10.0.0.0/8")
+    # Twice: a failed parse is never remembered as an answer.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            subnet.contains(text)
+    with pytest.raises(ValueError):
+        same_subnet("10.0.0.1", text, "10.0.0.0/8")
+
+
+def _parses(text: str) -> bool:
+    try:
+        ipaddress.IPv4Address(text)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("bad", ["", "10.0.0", "10.0.0.256", "10.0.0.1/24",
+                                 "::1", "ten.0.0.1", "010.0.0.1"])
+def test_known_malformed_addresses(bad):
+    with pytest.raises(ValueError):
+        ip_int(bad)
+    with pytest.raises(ValueError):
+        Subnet("10.0.0.0/24").contains(bad)
+
+
+# ---------------------------------------------------------------------------
+# Frame.wire_size(): kept size == fresh recursive size
+# ---------------------------------------------------------------------------
+def test_kept_frame_sizes_match_fresh_sizes_over_a_plant_run():
+    world = build_world(GridSpec.single_plant())
+    seen = []
+
+    def tap(frame, link, now):
+        fresh = ETHER_HEADER + payload_size(frame.payload)
+        # On a LAN every frame crosses two links (host -> switch ->
+        # host): the first reading is computed, the second is the kept
+        # one.  Both must equal the recursive sizing, as must a copy's.
+        seen.append((frame.wire_size(), frame.copy().wire_size(), fresh))
+
+    for lan in (world.internal_lan, world.external_lan):
+        for iface in lan.members:
+            iface.link.add_tap(tap)
+    world.run(until=2.0)
+    assert len(seen) > 10_000
+    assert len({fresh for _kept, _copied, fresh in seen}) > 10
+    assert all(kept == fresh and copied == fresh
+               for kept, copied, fresh in seen)
+
+
+def test_frame_copy_never_carries_a_stale_size():
+    frame = udp_frame("m1", "m2", "1.1.1.1", "2.2.2.2", 1, 2, "x" * 10)
+    size = frame.wire_size()
+    clone = frame.copy()
+    assert clone._wire_size is None            # nothing carried over
+    # The kept size is not part of a frame's identity or its repr.
+    assert clone == frame and "_wire_size" not in repr(frame)
+    assert clone.wire_size() == size
+    # A tampered copy (new payload through replace) sizes itself.
+    grown = replace(frame, payload="y" * 500)
+    assert grown.wire_size() == ETHER_HEADER + 500
+    assert frame.wire_size() == size
+
+
+# ---------------------------------------------------------------------------
+# LinkEnvelope MAC over the body's view digest
+# ---------------------------------------------------------------------------
+KEY = "spines.internal"
+
+
+@pytest.fixture
+def ring():
+    store = KeyStore()
+    store.create_symmetric(KEY)
+    return store.ring_for(symmetric_ids=[KEY])
+
+
+@pytest.fixture
+def caches_restored():
+    yield
+    set_cache_enabled(True)
+
+
+def _message(payload, **changes) -> OverlayMessage:
+    fields = dict(src=("d1", 7), dst=("d2", 9), service=IT_FLOOD,
+                  payload=payload, seq=41, src_daemon="d1")
+    fields.update(changes)
+    return OverlayMessage(**fields)
+
+
+@pytest.mark.parametrize("changes", [
+    {"src": ("d1", 8)}, {"src": ("d3", 7)}, {"dst": ("d2", 10)},
+    {"dst": ("*", 9)}, {"service": RELIABLE}, {"seq": 42},
+    {"src_daemon": "d3"},
+])
+def test_mac_fails_when_any_routed_field_of_the_body_differs(ring, changes):
+    payload = {"op": "status"}
+    envelope = LinkEnvelope(sender="d1", kind="data", body=_message(payload))
+    envelope.mac = mac_payload(ring, KEY, envelope)
+    assert verify_mac(ring, envelope.mac, envelope)
+    swapped = LinkEnvelope(sender="d1", kind="data",
+                           body=_message(payload, **changes),
+                           mac=envelope.mac)
+    assert not verify_mac(ring, swapped.mac, swapped)
+
+
+def test_mac_fails_for_a_different_payload_object_or_sender(ring):
+    payload, twin = {"op": "status"}, {"op": "status"}   # equal, not identical
+    envelope = LinkEnvelope(sender="d1", kind="data", body=_message(payload))
+    envelope.mac = mac_payload(ring, KEY, envelope)
+    same = LinkEnvelope(sender="d1", kind="data", body=_message(payload),
+                        mac=envelope.mac)
+    assert verify_mac(ring, same.mac, same)
+    for other in (
+            LinkEnvelope(sender="d1", kind="data", body=_message(twin)),
+            LinkEnvelope(sender="d9", kind="data", body=_message(payload)),
+            LinkEnvelope(sender="d1", kind="ack", body=_message(payload))):
+        other.mac = envelope.mac
+        assert not verify_mac(ring, other.mac, other)
+
+
+def test_mac_interoperates_between_cached_and_naive_encoding(
+        ring, caches_restored):
+    payload = {"op": "status"}
+    for make_cached, check_cached in ((True, False), (False, True)):
+        set_cache_enabled(make_cached)
+        envelope = LinkEnvelope(sender="d1", kind="data",
+                                body=_message(payload))
+        envelope.mac = mac_payload(ring, KEY, envelope)
+        set_cache_enabled(check_cached)
+        # Same objects (cached state and all) and freshly built ones.
+        assert verify_mac(ring, envelope.mac, envelope)
+        rebuilt = LinkEnvelope(sender="d1", kind="data",
+                               body=_message(payload), mac=envelope.mac)
+        assert verify_mac(ring, rebuilt.mac, rebuilt)

@@ -132,10 +132,10 @@ def test_describe_tcp_and_arp():
     assert "ARP request" in describe(arp)
 
 
-def test_frame_copy_gets_fresh_id():
+def test_frame_copy_is_a_new_frame_sharing_the_payload():
     frame = udp_frame("m1", "m2", "1.1.1.1", "2.2.2.2", 1, 2, "p")
     clone = frame.copy()
-    assert clone.frame_id != frame.frame_id
+    assert clone is not frame and clone == frame
     assert clone.payload is frame.payload
 
 

@@ -233,11 +233,16 @@ def test_post_recycles_event_objects():
     recycled = sim._free[-1]
     # Recycled events are scrubbed (no callback/arg retention) ...
     assert recycled.fn is None and recycled.args == ()
-    # ... and reused by the next post() instead of a fresh allocation.
+    # ... and reused by the next post() instead of a fresh allocation:
+    # the free-list empties, and the same object comes back scrubbed
+    # once its second callback has fired.
     sim.post(1.0, fired.append, 2)
-    assert sim._heap[0] is recycled
+    assert sim._free == []
+    assert (recycled.time, recycled.fired, recycled.args) == (2.0, False, (2,))
     sim.run()
     assert fired == [1, 2]
+    assert sim._free == [recycled]
+    assert recycled.fn is None and recycled.args == ()
 
 
 def test_schedule_events_are_never_recycled():
@@ -268,3 +273,112 @@ def test_mass_cancellation_sweeps_heap():
     sim.run()
     assert sim.now == 500.0
     assert keep.fired
+
+
+# ----------------------------------------------------------------------
+# (time, seq, event) heap entries
+# ----------------------------------------------------------------------
+def test_same_timestamp_order_across_at_post_and_zero_delay_callbacks():
+    sim = Simulator()
+    order = []
+
+    def fan_out(label):
+        # Zero-delay schedules made by a callback join the batch that is
+        # being dispatched, behind everything already scheduled for it.
+        order.append(label)
+        sim.post(0.0, order.append, label + ".post")
+        sim.at(sim.now, order.append, label + ".at")
+        sim.post_at(sim.now, order.append, label + ".post_at")
+
+    sim.at(1.0, fan_out, "a")
+    sim.post_at(1.0, order.append, "b")
+    sim.schedule(1.0, fan_out, "c")
+    sim.post(1.0, order.append, "d")
+    sim.run()
+    assert order == ["a", "b", "c", "d",
+                     "a.post", "a.at", "a.post_at",
+                     "c.post", "c.at", "c.post_at"]
+    assert sim.now == 1.0 and sim.events_executed == 10
+
+
+def test_pending_events_exact_through_cancel_and_sweep():
+    sim = Simulator()
+    fired = []
+    handles = [sim.at(float(i % 7 + 1), fired.append, i) for i in range(300)]
+    for i in range(300):
+        sim.post(float(i % 5 + 1), fired.append, 1000 + i)
+    assert sim.pending_events == 600
+    cancelled = 0
+    for i, handle in enumerate(handles):
+        if i % 10:                      # cancel 270 of the 300 handles
+            handle.cancel()
+            handle.cancel()             # idempotent
+            cancelled += 1
+            assert sim.pending_events == 600 - cancelled
+    # Cancelled entries never outnumbered live ones, so nothing swept
+    # yet; a burst of short-lived timers tips it over.
+    assert len(sim._heap) == 600
+    timers = [sim.at(9.0, fired.append, -1) for _ in range(400)]
+    for timer in timers:
+        timer.cancel()
+    assert len(sim._heap) < 600
+    assert sim.pending_events == 330
+    sim.run()
+    assert sim.pending_events == 0
+    assert len(fired) == 330 and -1 not in fired
+    # By time, then scheduling order — also after the sweep's heapify.
+    survivors = ([(i % 7 + 1, i) for i in range(0, 300, 10)]
+                 + [(i % 5 + 1, 1000 + i) for i in range(300)])
+    assert fired == [value for _time, value in sorted(survivors)]
+
+
+class _Chain:
+    """Picklable workload for the save/restore test: each firing logs,
+    posts a recyclable follow-up and re-arms a cancellable handle."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.handle = None
+
+    def tick(self, depth):
+        self.sim.log.log("chain", "test.tick", f"depth={depth}")
+        if self.handle is not None:
+            self.handle.cancel()
+        self.handle = self.sim.schedule(5.0, self.tick, -depth)
+        if depth < 40:
+            self.sim.post(0.25, self.tick, depth + 1)
+            self.sim.post(0.0, self.sim.log.log, "chain", "test.echo",
+                          f"depth={depth}")
+
+
+def test_midrun_save_restores_to_same_digest(tmp_path):
+    def build():
+        sim = Simulator(seed=3)
+        chain = _Chain(sim)
+        sim.at(0.5, chain.tick, 0)
+        sim.every(1.0, sim.log.log, "timer", "test.timer", "beat")
+        return sim
+
+    straight = build()
+    straight.run(until=20.0)
+
+    saved = build()
+    saved.run(until=4.1)
+    # Pending and cancelled-in-heap events ride along; the free-list of
+    # recycled events is a cache and stays behind, untouched.
+    assert saved.pending_events > 0
+    assert saved._cancelled_in_heap > 0
+    recyclable = list(saved._free)
+    assert recyclable
+    path = str(tmp_path / "kernel.snap")
+    saved.save(path)
+    assert saved._free == recyclable
+    restored = Simulator.restore(path)
+    assert restored._free == []
+    assert restored.pending_events == saved.pending_events
+    assert restored._cancelled_in_heap == saved._cancelled_in_heap
+    assert restored.event_digest() == saved.event_digest()
+    for sim in (saved, restored):
+        sim.run(until=20.0)
+        assert sim.event_digest() == straight.event_digest()
+        assert sim.events_executed == straight.events_executed

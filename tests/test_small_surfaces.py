@@ -170,12 +170,17 @@ def test_eventlog_bind_clock():
 # Subnet exhaustion and allocation
 # ---------------------------------------------------------------------------
 def test_subnet_allocation_and_containment():
-    from repro.net import Subnet
+    from repro.net import Subnet, SubnetExhausted
     subnet = Subnet("10.5.0.0/30")
     first = subnet.allocate()
     second = subnet.allocate()
     assert first != second
     assert subnet.contains(first)
     assert not subnet.contains("10.6.0.1")
-    with pytest.raises(StopIteration):
+    with pytest.raises(SubnetExhausted, match="10.5.0.0/30") as caught:
         subnet.allocate()   # /30 has exactly two host addresses
+    assert caught.value.cidr == "10.5.0.0/30"
+    # A generator or map() that over-fills a subnet must name it, not
+    # end early or die as "generator raised StopIteration".
+    with pytest.raises(SubnetExhausted):
+        list(map(lambda _: subnet.allocate(), range(2)))
