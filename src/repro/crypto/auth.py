@@ -24,15 +24,16 @@ verification a pure dict hit.
 
 from __future__ import annotations
 
-import hmac
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict
+from hmac import compare_digest
+from typing import Any, Dict, Tuple
 
 from repro.crypto.keys import KeyError_, KeyRing
 from repro.crypto.serialize import (
-    cache_enabled, payload_bytes, payload_digest,
+    FrozenViewMixin, cache_enabled, canonical_cached, payload_bytes,
+    payload_digest,
 )
 
 # Per-principal LRU bound.  SCADA-scale runs have a handful of in-flight
@@ -49,8 +50,47 @@ def reset_verify_stats() -> None:
     VERIFY_STATS["misses"] = 0
 
 
+# ---------------------------------------------------------------------------
+# HMAC-SHA256 from per-key pad contexts
+# ---------------------------------------------------------------------------
+# HMAC(K, m) = H((K' ^ opad) || H((K' ^ ipad) || m)) with K' the key
+# zero-padded (hashed first when longer) to the 64-byte SHA-256 block.
+# Both pad blocks depend on the key alone, so each key's two contexts
+# are hashed once and a tag is ``copy()`` + ``update()`` on them: the
+# two compressions the message needs and none of ``hmac.new()``'s
+# per-call set-up.  Hash contexts do not pickle, hence a module-level
+# memo keyed by key bytes rather than state on a ``KeyRing`` (which
+# snapshots reach).  A run holds one key per principal and per overlay;
+# the bound only matters to a process that builds many worlds.
+_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+PAD_MEMO_SIZE = 1024
+_pads: Dict[bytes, Tuple[Any, Any]] = {}
+
+
+def _key_pads(key: bytes) -> Tuple[Any, Any]:
+    block = hashlib.sha256(key).digest() if len(key) > _BLOCK else key
+    block = block.ljust(_BLOCK, b"\0")
+    pads = (hashlib.sha256(block.translate(_IPAD)),
+            hashlib.sha256(block.translate(_OPAD)))
+    if len(_pads) >= PAD_MEMO_SIZE:
+        del _pads[next(iter(_pads))]
+    _pads[key] = pads
+    return pads
+
+
 def _tag(key: bytes, payload: Any) -> bytes:
-    return hmac.new(key, payload_bytes(payload), hashlib.sha256).digest()
+    """HMAC-SHA256 of ``payload_bytes(payload)`` under ``key``."""
+    pads = _pads.get(key)
+    if pads is None:
+        pads = _key_pads(key)
+    inner = pads[0].copy()
+    inner.update(payload.view_bytes() if isinstance(payload, FrozenViewMixin)
+                 else canonical_cached(payload))
+    outer = pads[1].copy()
+    outer.update(inner.digest())
+    return outer.digest()
 
 
 def digest(payload: Any) -> bytes:
@@ -68,16 +108,21 @@ class Mac:
 
 def mac_payload(ring: KeyRing, key_id: str, payload: Any) -> Mac:
     """Authenticate ``payload`` under symmetric key ``key_id``."""
-    return Mac(key_id=key_id, tag=_tag(ring.symmetric(key_id), payload))
+    return Mac(key_id, _tag(ring.symmetric(key_id), payload))
 
 
 def verify_mac(ring: KeyRing, mac: Mac, payload: Any) -> bool:
-    """Check an HMAC tag; False on wrong key, missing key, or tampering."""
+    """Check an HMAC tag; False on wrong key, missing key, tampering, or
+    a tag that is not ``bytes`` at all (an injected frame can carry
+    anything)."""
     try:
-        expected = _tag(ring.symmetric(mac.key_id), payload)
+        key = ring.symmetric(mac.key_id)
     except KeyError_:
         return False
-    return hmac.compare_digest(expected, mac.tag)
+    tag = mac.tag
+    if not isinstance(tag, bytes):
+        return False
+    return compare_digest(_tag(key, payload), tag)
 
 
 @dataclass(frozen=True)
@@ -90,33 +135,41 @@ class Signature:
 
 def sign_payload(ring: KeyRing, signer: str, payload: Any) -> Signature:
     """Sign ``payload`` as ``signer`` (requires the signing key)."""
-    return Signature(signer=signer, tag=_tag(ring.signing(signer), payload))
+    return Signature(signer, _tag(ring.signing(signer), payload))
 
 
 def verify_signature(ring: KeyRing, signature: Signature, payload: Any) -> bool:
-    """Verify against the public registry; False for forgery/tampering.
+    """Verify against the public registry; False for forgery/tampering
+    and for a tag that is not ``bytes`` (never memoised: it need not
+    even be hashable).
 
     Repeat verifications of the same (signer, tag, payload) triple on
     the same ring are answered from a bounded per-principal LRU; see the
     module docstring for why this cannot weaken detection.
     """
+    signer = signature.signer
+    tag = signature.tag
     try:
-        key = ring.verification_key(signature.signer)
+        key = ring.verification_key(signer)
     except KeyError_:
         return False
+    if not isinstance(tag, bytes):
+        return False
     if not cache_enabled():
-        return hmac.compare_digest(_tag(key, payload), signature.tag)
-    cache = ring._verify_cache.get(signature.signer)
+        return compare_digest(_tag(key, payload), tag)
+    cache = ring._verify_cache.get(signer)
     if cache is None:
-        cache = ring._verify_cache[signature.signer] = OrderedDict()
-    cache_key = (signature.tag, payload_digest(payload))
+        cache = ring._verify_cache[signer] = OrderedDict()
+    cache_key = (tag, payload.view_digest()
+                 if isinstance(payload, FrozenViewMixin)
+                 else payload_digest(payload))
     verdict = cache.get(cache_key)
     if verdict is not None:
         cache.move_to_end(cache_key)
         VERIFY_STATS["hits"] += 1
         return verdict
     VERIFY_STATS["misses"] += 1
-    verdict = hmac.compare_digest(_tag(key, payload), signature.tag)
+    verdict = compare_digest(_tag(key, payload), tag)
     cache[cache_key] = verdict
     if len(cache) > VERIFY_CACHE_SIZE:
         cache.popitem(last=False)

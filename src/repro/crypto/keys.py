@@ -120,6 +120,14 @@ class KeyRing:
         # any change to the ring's key material invalidates it.
         self._verify_cache: Dict[str, object] = {}
 
+    def __getstate__(self) -> dict:
+        """Everything but the verification memo: it is a cache that
+        grows with run length (a third of a town5 snapshot after 36
+        sim-s), and a restored ring refills it as messages arrive."""
+        state = self.__dict__.copy()
+        state["_verify_cache"] = {}
+        return state
+
     # -- contents -------------------------------------------------------
     def install_symmetric(self, key_id: str, material: bytes) -> None:
         self._symmetric[key_id] = material

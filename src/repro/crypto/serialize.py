@@ -7,6 +7,11 @@ lists/tuples/dicts thereof, plus dataclasses) deterministically:
 dict entries are sorted by the canonical encoding of their keys (type
 tag first, then encoded bytes), and every value is tagged with its type
 so that e.g. ``1`` and ``"1"`` encode differently *and* sort apart.
+The encoder is one ``type -> function`` table (:class:`_EncoderTable`):
+an exact builtin is one lookup, and a subclass or dataclass is resolved
+through its MRO the first time it is seen and memoised.  The byte
+format is known to this module alone; callers that must not encode the
+same sub-value twice hold on to its encoding as a :class:`Canonical`.
 
 Hot-path caching
 ----------------
@@ -22,7 +27,8 @@ lifetime, keyed on object identity with no invalidation logic:
   object itself (objects that cannot hold attributes, e.g. plain dicts,
   silently fall back to a fresh encoding);
 * :class:`FrozenViewMixin` gives protocol messages cached
-  ``view_bytes()`` / ``view_digest()`` over their ``signed_view()``.
+  ``view_bytes()`` / ``view_digest()`` over their ``signed_view()``,
+  whose fixed keys are encoded and sorted once per class.
 
 ``set_cache_enabled(False)`` switches every cache off (the naive encode
 path), which the perf harness uses to prove the optimisation does not
@@ -34,10 +40,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import struct
-from typing import Any, Dict
+from operator import itemgetter
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 _PACK_U32 = struct.Struct(">I").pack
 _PACK_F64 = struct.Struct(">d").pack
+_FIRST = itemgetter(0)
 
 
 class UnserializableError(TypeError):
@@ -75,60 +83,144 @@ def reset_encode_stats() -> None:
 # ---------------------------------------------------------------------------
 def canonical_bytes(value: Any) -> bytes:
     """Return a deterministic byte encoding of ``value``."""
-    out = bytearray()
-    _encode(value, out)
-    return bytes(out)
+    return _ENCODERS[type(value)](value)
 
 
-def _encode(value: Any, out: bytearray) -> None:
-    if value is None:
-        out += b"N"
-    elif value is True:
-        out += b"T"
-    elif value is False:
-        out += b"F"
-    elif isinstance(value, int):
-        data = str(value).encode()
-        out += b"i" + _PACK_U32(len(data)) + data
-    elif isinstance(value, float):
-        out += b"f" + _PACK_F64(value)
-    elif isinstance(value, str):
-        data = value.encode("utf-8")
-        out += b"s" + _PACK_U32(len(data)) + data
-    elif isinstance(value, bytes):
-        out += b"b" + _PACK_U32(len(value)) + value
-    elif isinstance(value, (list, tuple)):
-        out += b"l" + _PACK_U32(len(value))
-        for item in value:
-            _encode(item, out)
-    elif isinstance(value, dict):
-        # Sort by the canonical encoding of the key — the encoding leads
-        # with the type tag, so mixed-type keys (1 vs "1") order apart
-        # instead of colliding under str() and silently falling back to
-        # insertion order.
-        items = []
-        for key, item in value.items():
-            key_bytes = bytearray()
-            _encode(key, key_bytes)
-            items.append((bytes(key_bytes), item))
-        items.sort(key=lambda pair: pair[0])
-        out += b"d" + _PACK_U32(len(items))
-        for key_bytes, item in items:
-            out += key_bytes
-            _encode(item, out)
-    elif isinstance(value, frozenset):
-        encoded = sorted(canonical_bytes(item) for item in value)
-        out += b"S" + _PACK_U32(len(encoded))
-        for item in encoded:
-            out += item
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
-        out += b"D"
-        _encode(type(value).__name__, out)
-        _encode(dict(fields), out)
-    else:
-        raise UnserializableError(
-            f"cannot canonically serialize {type(value).__name__}: {value!r}")
+def _encode_none(value: Any) -> bytes:
+    return b"N"
+
+
+def _encode_bool(value: Any) -> bytes:
+    return b"T" if value else b"F"
+
+
+def _encode_int(value: Any) -> bytes:
+    data = str(value).encode()
+    return b"i" + _PACK_U32(len(data)) + data
+
+
+def _encode_float(value: Any) -> bytes:
+    return b"f" + _PACK_F64(value)
+
+
+def _encode_str(value: Any) -> bytes:
+    data = value.encode("utf-8")
+    return b"s" + _PACK_U32(len(data)) + data
+
+
+def _encode_bytes(value: Any) -> bytes:
+    return b"b" + _PACK_U32(len(value)) + value
+
+
+class Canonical(bytes):
+    """``canonical_bytes(v)`` kept for reuse: wherever a ``Canonical``
+    sits inside a value, the encoder emits it verbatim, so the enclosing
+    value encodes exactly as if ``v`` itself sat there."""
+
+    __slots__ = ()
+
+
+def _encode_canonical(value: Canonical) -> bytes:
+    return value
+
+
+def _encode_sequence(value: Any) -> bytes:
+    encoders = _ENCODERS
+    parts = [b"l" + _PACK_U32(len(value))]
+    parts += [encoders[type(item)](item) for item in value]
+    return b"".join(parts)
+
+
+def _encode_dict(value: Any) -> bytes:
+    # Sort by the canonical encoding of the key — the encoding leads
+    # with the type tag, so mixed-type keys (1 vs "1") order apart
+    # instead of colliding under str() and silently falling back to
+    # insertion order.
+    encoders = _ENCODERS
+    items = [(encoders[type(key)](key), item) for key, item in value.items()]
+    items.sort(key=_FIRST)
+    parts = [b"d" + _PACK_U32(len(items))]
+    for key_bytes, item in items:
+        parts.append(key_bytes)
+        parts.append(encoders[type(item)](item))
+    return b"".join(parts)
+
+
+def _encode_frozenset(value: Any) -> bytes:
+    encoders = _ENCODERS
+    parts = sorted(encoders[type(item)](item) for item in value)
+    parts.insert(0, b"S" + _PACK_U32(len(parts)))
+    return b"".join(parts)
+
+
+def _encode_unserializable(value: Any) -> bytes:
+    raise UnserializableError(
+        f"cannot canonically serialize {type(value).__name__}: {value!r}")
+
+
+class _KeyLayout:
+    """A fixed set of string keys as the dict encoder would emit them:
+    the ``d`` header and the encoded keys in canonical order, each with
+    the position its value has in the order the keys were declared."""
+
+    __slots__ = ("head", "slots")
+
+    def __init__(self, keys: Sequence[str]):
+        self.head = b"d" + _PACK_U32(len(keys))
+        self.slots = tuple(sorted(
+            (_encode_str(key), index) for index, key in enumerate(keys)))
+
+    def encode(self, values: Sequence[Any]) -> bytes:
+        """``dict(zip(keys, values))``, canonically encoded."""
+        encoders = _ENCODERS
+        parts = [self.head]
+        for key_bytes, index in self.slots:
+            item = values[index]
+            parts.append(key_bytes)
+            parts.append(encoders[type(item)](item))
+        return b"".join(parts)
+
+
+def _dataclass_encoder(tp: type) -> Callable[[Any], bytes]:
+    names = tuple(f.name for f in dataclasses.fields(tp))
+    head = b"D" + _encode_str(tp.__name__)
+    encode_fields = _KeyLayout(names).encode
+
+    def encode(value: Any) -> bytes:
+        return head + encode_fields([getattr(value, name) for name in names])
+
+    return encode
+
+
+class _EncoderTable(dict):
+    """``type -> encoder``.  The builtin value space is seeded below;
+    any other type is resolved on first sight and memoised: a subclass
+    of a builtin (``OrderedDict``, a namedtuple, an int/str enum) takes
+    the encoder of the first builtin in its MRO, a dataclass gets one
+    built from its fields, everything else the encoder that raises
+    :class:`UnserializableError`."""
+
+    def __missing__(self, tp: type) -> Callable[[Any], bytes]:
+        for base in tp.__mro__:
+            encoder = _BUILTIN_ENCODERS.get(base)
+            if encoder is not None:
+                break
+        else:
+            if dataclasses.is_dataclass(tp):
+                encoder = _dataclass_encoder(tp)
+            else:
+                encoder = _encode_unserializable
+        self[tp] = encoder
+        return encoder
+
+
+_BUILTIN_ENCODERS: Dict[type, Callable[[Any], bytes]] = {
+    type(None): _encode_none, bool: _encode_bool, int: _encode_int,
+    float: _encode_float, str: _encode_str, bytes: _encode_bytes,
+    list: _encode_sequence, tuple: _encode_sequence, dict: _encode_dict,
+    frozenset: _encode_frozenset, Canonical: _encode_canonical,
+}
+_ENCODERS = _EncoderTable(_BUILTIN_ENCODERS)
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +259,27 @@ class FrozenViewMixin:
     Mixed into protocol message dataclasses whose authenticated fields
     are frozen once the message is built (mutable bookkeeping fields
     like ``hop_count`` or attached signatures are *excluded* from the
-    view, so they may change freely).  The first ``view_bytes()`` call
-    builds the view dict and encodes it; every later sign, digest, or
-    verification of the same object is a cached read.
+    view, so they may change freely).  A subclass declares the view's
+    fixed key set in ``VIEW_KEYS`` and returns the matching values from
+    ``view_values()``; the keys are encoded and sorted once per class,
+    so the first ``view_bytes()`` call on a message encodes only the
+    values, and every later sign, digest, or verification of the same
+    object is a cached read.
     """
 
-    def signed_view(self) -> dict:  # pragma: no cover - subclasses override
+    VIEW_KEYS: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._view_layout = _KeyLayout(cls.VIEW_KEYS)
+
+    def view_values(self) -> Sequence[Any]:  # pragma: no cover - subclasses override
+        """The authenticated values, in ``VIEW_KEYS`` order."""
         raise NotImplementedError
+
+    def signed_view(self) -> dict:
+        """The authenticated fields as a plain dict."""
+        return dict(zip(self.VIEW_KEYS, self.view_values()))
 
     def view_bytes(self) -> bytes:
         """Canonical bytes of ``signed_view()``, computed once.
@@ -191,8 +297,7 @@ class FrozenViewMixin:
         if cached is not None:
             ENCODE_STATS["hits"] += 1
             return cached
-        data = canonical_bytes(self.signed_view())
-        d["_view_bytes"] = data
+        data = d["_view_bytes"] = self._view_layout.encode(self.view_values())
         ENCODE_STATS["misses"] += 1
         return data
 

@@ -22,10 +22,11 @@ possession rather than RSA mathematics.
 from __future__ import annotations
 
 import hashlib
-import hmac
 from dataclasses import dataclass
+from hmac import compare_digest
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.crypto.auth import _tag
 from repro.crypto.serialize import payload_bytes
 from repro.util.rng import DeterministicRng
 
@@ -82,8 +83,7 @@ class ThresholdScheme:
         return ThresholdShare(self, holder, self._shares[holder])
 
     def _partial_tag(self, holder: str, payload: Any) -> bytes:
-        return hmac.new(self._shares[holder], payload_bytes(payload),
-                        hashlib.sha256).digest()
+        return _tag(self._shares[holder], payload)
 
     # -- combination / verification ---------------------------------------
     def combine(self, partials: List[PartialSignature],
@@ -95,8 +95,10 @@ class ThresholdScheme:
                 continue
             if partial.share_holder not in self._shares:
                 continue
+            if not isinstance(partial.tag, bytes):
+                continue
             expected = self._partial_tag(partial.share_holder, payload)
-            if hmac.compare_digest(expected, partial.tag):
+            if compare_digest(expected, partial.tag):
                 valid[partial.share_holder] = partial
         if len(valid) < self.threshold:
             raise ThresholdError(
@@ -106,10 +108,9 @@ class ThresholdScheme:
         return ThresholdSignature(group=self.group, signers=signers, tag=tag)
 
     def _combined_tag(self, signers: tuple, payload: Any) -> bytes:
-        return hmac.new(self._group_secret,
-                        payload_bytes({"signers": list(signers),
-                                       "payload": payload_bytes(payload)}),
-                        hashlib.sha256).digest()
+        return _tag(self._group_secret,
+                    {"signers": list(signers),
+                     "payload": payload_bytes(payload)})
 
     def verify(self, signature: ThresholdSignature, payload: Any) -> bool:
         """Anyone can verify a combined signature (public operation)."""
@@ -119,9 +120,11 @@ class ThresholdScheme:
             return False
         if any(s not in self._shares for s in signature.signers):
             return False
+        if not isinstance(signature.tag, bytes):
+            return False
         expected = self._combined_tag(tuple(sorted(signature.signers)),
                                       payload)
-        return hmac.compare_digest(expected, signature.tag)
+        return compare_digest(expected, signature.tag)
 
 
 class ThresholdShare:
@@ -133,7 +136,6 @@ class ThresholdShare:
         self._material = material
 
     def sign_partial(self, payload: Any) -> PartialSignature:
-        tag = hmac.new(self._material, payload_bytes(payload),
-                       hashlib.sha256).digest()
         return PartialSignature(group=self._scheme.group,
-                                share_holder=self.holder, tag=tag)
+                                share_holder=self.holder,
+                                tag=_tag(self._material, payload))

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.crypto.auth import Signature
-from repro.crypto.serialize import FrozenViewMixin, canonical_cached
+from repro.crypto.serialize import (
+    FrozenViewMixin, UnserializableError, canonical_cached,
+)
 
 PRIME_INTERNAL_PORT = 7000
 PRIME_CLIENT_PORT = 7100
@@ -43,10 +45,11 @@ class ClientUpdate(FrozenViewMixin):
     def key(self) -> Tuple[str, int]:
         return (self.client_id, self.client_seq)
 
-    def signed_view(self) -> dict:
-        return {"client_id": self.client_id, "client_seq": self.client_seq,
-                "op_repr": repr(self.op),
-                "reply_to": list(self.reply_to) if self.reply_to else None}
+    VIEW_KEYS = ("client_id", "client_seq", "op_repr", "reply_to")
+
+    def view_values(self) -> tuple:
+        return (self.client_id, self.client_seq, repr(self.op),
+                list(self.reply_to) if self.reply_to else None)
 
     def wire_size(self) -> int:
         return 80 + len(repr(self.op))
@@ -86,12 +89,12 @@ class PrePrepare(FrozenViewMixin):
     gseq: int
     matrix: Dict[str, Dict[str, int]]    # replica -> its po_aru vector
 
-    def digest_view(self) -> dict:
-        return {"view": self.view, "gseq": self.gseq, "matrix": self.matrix}
-
     # The proposal digest every replica computes (pre-prepare handling,
-    # reconciliation claims) covers the same fields — cache it.
-    signed_view = digest_view
+    # reconciliation claims) covers these fields — cache it.
+    VIEW_KEYS = ("view", "gseq", "matrix")
+
+    def view_values(self) -> tuple:
+        return (self.view, self.gseq, self.matrix)
 
     def wire_size(self) -> int:
         return 16 + 12 * sum(len(v) for v in self.matrix.values())
@@ -240,14 +243,14 @@ class SignedPrimeMessage(FrozenViewMixin):
     body: Any
     signature: Optional[Signature] = None
 
-    def signed_view(self) -> dict:
-        from repro.crypto.serialize import UnserializableError
+    VIEW_KEYS = ("sender", "body_type", "body")
+
+    def view_values(self) -> tuple:
         try:
             body_bytes = canonical_cached(self.body)
         except UnserializableError:
             body_bytes = repr(self.body).encode()
-        return {"sender": self.sender, "body_type": type(self.body).__name__,
-                "body": body_bytes}
+        return (self.sender, type(self.body).__name__, body_bytes)
 
     def wire_size(self) -> int:
         inner = getattr(self.body, "wire_size", lambda: 64)()

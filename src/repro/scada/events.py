@@ -75,15 +75,16 @@ class CommandDirective(FrozenViewMixin):
     replica: str
     partial: Any = None                # Optional[PartialSignature]
     # Telemetry-only trace context; excluded from matching_key() and
-    # signed_view() so tracing never affects f+1 agreement.
+    # the signed view so tracing never affects f+1 agreement.
     trace: Optional[Dict[str, str]] = None
 
     def matching_key(self) -> str:
         return repr((tuple(self.command_id), self.plc, self.breaker, self.close))
 
-    def signed_view(self) -> dict:
-        return {"command_id": list(self.command_id), "plc": self.plc,
-                "breaker": self.breaker, "close": self.close}
+    VIEW_KEYS = ("command_id", "plc", "breaker", "close")
+
+    def view_values(self) -> tuple:
+        return (list(self.command_id), self.plc, self.breaker, self.close)
 
     def wire_size(self) -> int:
         return 64 + (32 if self.partial is not None else 0)

@@ -20,7 +20,9 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 from repro.crypto.auth import Mac, Signature
-from repro.crypto.serialize import FrozenViewMixin, cache_enabled
+from repro.crypto.serialize import (
+    Canonical, FrozenViewMixin, cache_enabled, canonical_bytes,
+)
 from repro.net.packet import payload_size
 
 BEST_EFFORT = "best-effort"
@@ -69,13 +71,27 @@ class OverlayMessage(FrozenViewMixin):
     def flood_key(self) -> Tuple[str, int]:
         return (self.src_daemon, self.seq)
 
-    def signed_view(self) -> dict:
-        """The fields covered by the source signature."""
-        return {
-            "src": list(self.src), "dst": list(self.dst),
-            "service": self.service, "seq": self.seq,
-            "src_daemon": self.src_daemon,
-        }
+    def link_binding(self) -> Any:
+        """What a link MAC binds of this message (see
+        :func:`_digest_fields`).  Every daemon of a flood wraps the same
+        message object in its own envelope, so the binding is encoded
+        once per message rather than once per flood step."""
+        caching = cache_enabled()
+        binding = self.__dict__.get("_link_binding") if caching else None
+        if binding is None:
+            binding = {"view": self.view_digest(),
+                       "payload_id": id(self.payload)}
+            if caching:
+                binding = self.__dict__["_link_binding"] = Canonical(
+                    canonical_bytes(binding))
+        return binding
+
+    #: The fields covered by the source signature.
+    VIEW_KEYS = ("src", "dst", "service", "seq", "src_daemon")
+
+    def view_values(self) -> tuple:
+        return (list(self.src), list(self.dst), self.service, self.seq,
+                self.src_daemon)
 
 
 @dataclass
@@ -106,15 +122,14 @@ class LinkEnvelope(FrozenViewMixin):
             self.__dict__["_wire_size"] = cached
         return cached
 
-    def mac_view(self) -> dict:
-        body = self.body
-        return {"sender": self.sender, "kind": self.kind,
-                "body_size": payload_size(body),
-                "body_digest_fields": _digest_fields(body)}
+    #: What the link MAC covers; the encode-once machinery (sign/verify
+    #: via ``payload_bytes``) treats it as the signed view.
+    VIEW_KEYS = ("sender", "kind", "body_size", "body_digest_fields")
 
-    # The MAC covers the mac_view, so the encode-once machinery
-    # (sign/verify via ``payload_bytes``) treats it as the signed view.
-    signed_view = mac_view
+    def view_values(self) -> tuple:
+        body = self.body
+        return (self.sender, self.kind, payload_size(body),
+                _digest_fields(body))
 
 
 def _digest_fields(body: Any) -> Any:
@@ -132,7 +147,7 @@ def _digest_fields(body: Any) -> Any:
     (changing its id) and therefore break the MAC.
     """
     if isinstance(body, OverlayMessage):
-        return {"view": body.view_digest(), "payload_id": id(body.payload)}
+        return body.link_binding()
     if isinstance(body, dict):
         return {k: str(v) for k, v in body.items()}
     return str(body)

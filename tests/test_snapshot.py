@@ -8,17 +8,25 @@ sharded worlds, across seeds and shard counts, and for crash-resumed
 campaigns.
 """
 
+import gc
 import json
 import os
+import pickle
+from dataclasses import replace
 
 import pytest
 
+from repro.crypto import (
+    KeyRing, KeyStore, forge_signature, sign_payload, verify_signature,
+)
 from repro.faults.campaign import report_digest, run_campaign
 from repro.grid.spec import GridSpec, make_town_spec
 from repro.grid.world import build_world
+from repro.prime.messages import ClientUpdate
 from repro.snapshot import (
     SnapshotError, nearest_snapshot, read_header, replay_dump,
-    restore_world, run_with_checkpoints, save_world,
+    restore_world, restore_world_bytes, run_with_checkpoints, save_world,
+    save_world_bytes,
 )
 from repro.snapshot import format as snapshot_format
 from repro.util.atomicio import write_bytes, write_text
@@ -144,6 +152,62 @@ class TestWorldRestoreDeterminism:
     def test_worldless_object_rejected(self, tmp_path):
         with pytest.raises(SnapshotError, match="no .sim"):
             save_world(str(tmp_path / "x.snap"), object())
+
+
+# ----------------------------------------------------------------------
+# The signature-verdict memo is a cache: it stays out of snapshots
+# ----------------------------------------------------------------------
+class TestVerifyMemoStaysOut:
+    def test_pickled_ring_keeps_keys_and_drops_the_memo(self):
+        store = KeyStore()
+        store.create_signing("replica1")
+        store.create_symmetric("spines.internal")
+        ring = store.ring_for(symmetric_ids=["spines.internal"],
+                              signing_principals=["replica1"])
+        update = ClientUpdate(client_id="replica1", client_seq=1, op={"k": 1})
+        signature = sign_payload(ring, "replica1", update)
+        assert verify_signature(ring, signature, update)
+        assert ring._verify_cache["replica1"]
+
+        restored = pickle.loads(pickle.dumps(ring))
+        assert restored._verify_cache == {}
+        assert ring._verify_cache["replica1"]       # the live ring keeps its own
+        assert restored.symmetric("spines.internal") == \
+            ring.symmetric("spines.internal")
+        assert restored.signing("replica1") == ring.signing("replica1")
+        assert restored.verification_key("replica1") == \
+            ring.verification_key("replica1")
+        # A cold memo refills, and answers as the warm one did.
+        assert verify_signature(restored, signature, update)
+        assert restored._verify_cache["replica1"]
+
+    def test_snapshot_size_does_not_depend_on_the_memo(self):
+        world = _build(make_town_spec(5, seed=3), 3)
+        world.run(until=T_HALF)
+        rings = [obj for obj in gc.get_objects() if isinstance(obj, KeyRing)]
+        assert sum(len(memo) for ring in rings
+                   for memo in ring._verify_cache.values()) > 100
+        with_memo = save_world_bytes(world)
+        for ring in rings:
+            ring._verify_cache.clear()
+        assert len(save_world_bytes(world)) == len(with_memo)
+
+    def test_restored_world_still_tells_forged_from_valid(self):
+        world = _build(make_town_spec(5, seed=3), 3)
+        world.run(until=T_HALF)
+        restored = restore_world_bytes(save_world_bytes(world))
+        replica = restored.replicas[sorted(restored.replicas)[0]]
+        ring = replica.key_ring
+        assert ring._verify_cache == {}
+        update = ClientUpdate(client_id=replica.name, client_seq=10**6,
+                              op={"type": "noop"})
+        signature = sign_payload(ring, replica.name, update)
+        tampered = replace(update, op={"type": "open-everything"})
+        for _ in range(2):                          # cold, then memoised
+            assert verify_signature(ring, signature, update) is True
+            assert verify_signature(ring, signature, tampered) is False
+            assert verify_signature(
+                ring, forge_signature(replica.name), update) is False
 
 
 # ----------------------------------------------------------------------
