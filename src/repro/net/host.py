@@ -24,13 +24,18 @@ from repro.net.firewall import Firewall, INBOUND, OUTBOUND, open_firewall
 from repro.net.link import Link
 from repro.net.osprofile import OsProfile, centos_minimal_latest
 from repro.net.packet import (
-    ArpMessage, Frame, IpPacket, TcpSegment, UdpDatagram, describe,
+    ETHER_HEADER, IP_HEADER, UDP_HEADER, ArpMessage, Frame, IpPacket,
+    TcpSegment, UdpDatagram, describe, payload_size,
 )
 from repro.sim.process import Process
 from repro.sim.simulator import Simulator
 
 ARP_TIMEOUT = 1.0
 PROBE_TIMEOUT = 0.5
+
+#: Destinations a host remembers a route for; the memo is cleared when
+#: full, so an address sweep cannot grow it without limit.
+ROUTE_MEMO_SIZE = 4096
 
 UdpHandler = Callable[[str, int, Any], None]
 
@@ -156,6 +161,8 @@ class Host(Process):
         self.firewall = firewall or open_firewall()
         self.interfaces: List[Interface] = []
         self._local_ips: Set[str] = set()
+        # dst ip -> (interface, next hop), see _resolve().
+        self._routes: Dict[str, Tuple[Optional[Interface], Optional[str]]] = {}
         # If True, any interface answers ARP requests for any local IP —
         # the default Linux behaviour the paper explicitly disabled.
         self.arp_announce_all = False
@@ -189,6 +196,7 @@ class Host(Process):
         iface = Interface(self, name, mac, ip, cidr, static_arp=static_arp)
         self.interfaces.append(iface)
         self._local_ips.add(ip)
+        self._routes.clear()
         if link is not None:
             iface.attach(link)
         return iface
@@ -204,15 +212,32 @@ class Host(Process):
     def _resolve(self, dst_ip: str) -> Tuple[Optional[Interface], Optional[str]]:
         """``(interface, next hop)`` toward ``dst_ip``: on-link through
         the first interface whose subnet contains it, else the default
-        gateway; ``(None, None)`` with neither."""
-        for iface in self.interfaces:
-            if iface.subnet.contains(dst_ip):
-                return iface, dst_ip
-        return self._gateway_iface, self._gateway_ip
+        gateway; ``(None, None)`` with neither.
+
+        The answer depends only on the interface list and the gateway,
+        so it is remembered per destination until :meth:`add_interface`
+        or :meth:`set_default_gateway` changes either (an interface's
+        address and subnet are fixed at creation).  ARP is *not* part
+        of it: entries age and can be poisoned, so ``_send_via`` looks
+        the next hop's MAC up for every frame.
+        """
+        route = self._routes.get(dst_ip)
+        if route is None:
+            for iface in self.interfaces:
+                if iface.subnet.contains(dst_ip):
+                    route = (iface, dst_ip)
+                    break
+            else:
+                route = (self._gateway_iface, self._gateway_ip)
+            if len(self._routes) >= ROUTE_MEMO_SIZE:
+                self._routes.clear()
+            self._routes[dst_ip] = route
+        return route
 
     def set_default_gateway(self, iface: Interface, gateway_ip: str) -> None:
         self._gateway_ip = gateway_ip
         self._gateway_iface = iface
+        self._routes.clear()
 
     _gateway_ip: Optional[str] = None
     _gateway_iface: Optional[Interface] = None
@@ -255,7 +280,11 @@ class Host(Process):
         datagram = UdpDatagram(src_port=src_port, dst_port=dst_port, payload=payload)
         packet = IpPacket(src_ip=src_ip, dst_ip=dst_ip, proto=PROTO_UDP,
                           payload=datagram)
-        return self._send_via(iface, next_hop, packet)
+        # The one place all three headers are known to be present: size
+        # the frame here instead of recursing through the layers later.
+        return self._send_via(
+            iface, next_hop, packet,
+            ETHER_HEADER + IP_HEADER + UDP_HEADER + payload_size(payload))
 
     # ------------------------------------------------------------------
     # TCP API (simplified)
@@ -359,10 +388,13 @@ class Host(Process):
                               packet)
 
     def _send_via(self, iface: Interface, next_hop: Optional[str],
-                  packet: IpPacket) -> bool:
+                  packet: IpPacket, wire_size: Optional[int] = None) -> bool:
+        """Frame ``packet`` toward ``next_hop``.  ``wire_size`` is the
+        frame's size when the caller already knows it; a packet parked
+        for ARP, like every other frame, is sized on first use."""
         if next_hop is None:
             return False
-        mac = iface.arp.lookup(next_hop, self.now)
+        mac = iface.arp.lookup(next_hop, self.sim.now)
         if mac is None:
             if iface.arp.static_mode:
                 # Static ARP with no entry: destination unreachable.
@@ -371,6 +403,7 @@ class Host(Process):
             return True
         frame = Frame(src_mac=iface.mac, dst_mac=mac,
                       ethertype=ETHERTYPE_IP, payload=packet)
+        frame._wire_size = wire_size
         return iface.send_frame(frame)
 
     def _arp_resolve(self, iface: Interface, next_hop: str, packet: IpPacket) -> None:

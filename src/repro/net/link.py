@@ -136,35 +136,46 @@ class Link:
             return False
 
         size = frame.wire_size()
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
+        busy_until = self._busy_until
+        queued_bytes = self._queued_bytes
+        busy = busy_until[direction]
+        if busy <= now:
+            # The transmitter has drained: reset queue accounting.
+            busy = now
+            queued = 0
+        else:
+            queued = queued_bytes[direction]
 
-        # Reset queue accounting if the transmitter has drained.
-        if self._busy_until[direction] <= now:
-            self._busy_until[direction] = now
-            self._queued_bytes[direction] = 0
-
-        if self._queued_bytes[direction] + size > self.queue_bytes:
+        if queued + size > self.queue_bytes:
+            # A refused frame still leaves the drained state behind.
+            busy_until[direction] = busy
+            queued_bytes[direction] = queued
             self.frames_dropped += 1
             self._metric_dropped.inc()
             return False
 
-        serialization = size / self.bandwidth
-        self._queued_bytes[direction] += size
-        self._busy_until[direction] += serialization
-        deliver_at = self._busy_until[direction] + self.latency
+        # Serialization, then propagation: the event digests see these
+        # floats, so the order of the two additions is fixed.
+        busy += size / self.bandwidth
+        busy_until[direction] = busy
+        queued_bytes[direction] = queued + size
 
         for tap in self._taps:
             tap(frame, self, now)
 
         self.frames_sent += 1
-        self._metric_sent.inc()
-        self._metric_bytes.inc(size)
-        self.sim.post_at(deliver_at, self._deliver, receiver, frame, direction, size)
+        self._metric_sent.inc(1, now)
+        self._metric_bytes.inc(size, now)
+        sim.post_at(busy + self.latency, self._deliver, receiver, frame,
+                    direction, size)
         return True
 
     def _deliver(self, receiver: LinkEndpoint, frame: Frame,
                  direction: int, size: int) -> None:
-        self._queued_bytes[direction] = max(0, self._queued_bytes[direction] - size)
+        queued = self._queued_bytes[direction] - size
+        self._queued_bytes[direction] = queued if queued > 0 else 0
         if self.up:
             receiver.on_frame(frame, self)
 

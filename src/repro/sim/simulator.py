@@ -4,8 +4,8 @@ Every component in the reproduction — hosts, switches, overlay daemons,
 BFT replicas, PLCs, attackers, the measurement device — runs inside one
 :class:`Simulator`.  The kernel provides:
 
-* an event heap of ``(time, seq, event)`` tuples — ordered by time, then
-  scheduling order, for deterministic replay,
+* an event heap of ``(time, seq, handle, fn, args)`` tuples — ordered by
+  time, then scheduling order, for deterministic replay,
 * cancellable one-shot events and periodic timers,
 * a root :class:`~repro.util.rng.DeterministicRng` and shared
   :class:`~repro.util.eventlog.EventLog`.
@@ -29,9 +29,6 @@ class SimulationError(RuntimeError):
     """Raised for kernel misuse (scheduling in the past, etc.)."""
 
 
-#: Free-list bound: recycled Event objects kept per simulator.
-_FREE_LIST_CAP = 4096
-
 #: Lazy-cancellation sweep threshold: once more than this many cancelled
 #: events sit in the heap *and* they outnumber live entries, the heap is
 #: compacted in place instead of waiting for the run loop to reach them.
@@ -39,27 +36,22 @@ _SWEEP_MIN_CANCELLED = 64
 
 
 class Event:
-    """A scheduled callback.  Returned by scheduling calls for cancellation.
+    """Cancellation handle of a scheduled callback, returned by
+    :meth:`Simulator.at` / :meth:`Simulator.schedule`.
 
-    The heap orders ``(time, seq, event)`` tuples, and ``seq`` is unique
-    per simulator, so events themselves are never compared.
+    The callback and its arguments live in the heap entry
+    ``(time, seq, handle, fn, args)``; ``seq`` is unique per simulator,
+    so a comparison never reaches the handle or the callback.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired",
-                 "periodic", "recyclable", "_sim")
+    __slots__ = ("time", "seq", "cancelled", "fired", "periodic", "_sim")
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: Tuple):
+    def __init__(self, time: float, seq: int):
         self.time = time
         self.seq = seq
-        self.fn = fn
-        self.args = args
         self.cancelled = False
         self.fired = False
         self.periodic: Optional["PeriodicTimer"] = None
-        # Only events created by Simulator.post()/post_at() are
-        # recyclable: no handle escapes, so nothing can cancel (or hold)
-        # them after they fire and the object may be reused safely.
-        self.recyclable = False
         self._sim: Optional["Simulator"] = None
 
     def cancel(self) -> None:
@@ -134,7 +126,8 @@ class Simulator:
     def __init__(self, seed: int = 0, *, telemetry: bool = True,
                  trace_retention: Optional[int] = None):
         self._now = 0.0
-        self._heap: List[Tuple[float, int, Event]] = []
+        # (time, seq, handle, fn, args); handle is None for post()/post_at().
+        self._heap: List[Tuple[float, int, Optional[Event], Callable, Tuple]] = []
         self._seq = 0                    # next heap tie-breaker
         self._events_executed = 0
         self._events_cancelled = 0       # cancelled events reaped so far
@@ -159,7 +152,6 @@ class Simulator:
         self._flushed_spans_evicted = 0
         self._halted = False
         self._sequences: dict = {}
-        self._free: List[Event] = []
 
     def _clock_now(self) -> float:
         """Clock callable handed to the log/metrics/tracer.
@@ -173,14 +165,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Snapshot support (repro.snapshot)
     # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Everything but the free-list: it is a cache of up to
-        ``_FREE_LIST_CAP`` spent Event objects (a fifth of a town5
-        snapshot), and a restored kernel refills it as posts fire."""
-        state = self.__dict__.copy()
-        state["_free"] = []
-        return state
-
     def event_digest(self) -> str:
         """Hash of the full executed-event record for byte-identity checks.
 
@@ -258,57 +242,49 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    # The four guards are written ``not (x >= bound)`` so that a NaN
+    # delay or time is refused like a negative one: every comparison
+    # with NaN is False, and a NaN entry would sit in the heap in
+    # arbitrary order and set the clock to NaN when it fired.
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
         """Run ``fn(*args)`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
+        if not (delay >= 0):
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         return self.at(self._now + delay, fn, *args)
 
     def at(self, time: float, fn: Callable, *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute simulated time ``time``."""
-        if time < self._now:
+        if not (time >= self._now):
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}")
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, seq, fn, args)
+        event = Event(time, seq)
         event._sim = self
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, event, fn, args))
         return event
 
     def post(self, delay: float, fn: Callable, *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no handle, no cancellation.
 
         Hot paths (frame delivery, per-hop processing delays) schedule
-        millions of events that are never cancelled.  ``post`` recycles
-        Event objects through a bounded free-list instead of allocating
-        a fresh one per call, and returns ``None`` — callers that may
-        need to cancel must use :meth:`schedule` / :meth:`at`.
+        millions of events that are never cancelled.  A post is nothing
+        but its heap entry — no :class:`Event` is made — and returns
+        ``None``; callers that may need to cancel must use
+        :meth:`schedule` / :meth:`at`.
         """
-        if delay < 0:
+        if not (delay >= 0):
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self.post_at(self._now + delay, fn, *args)
 
     def post_at(self, time: float, fn: Callable, *args: Any) -> None:
         """Fire-and-forget :meth:`at` (see :meth:`post`)."""
-        if time < self._now:
+        if not (time >= self._now):
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self._now}")
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event.fired = False
-        else:
-            event = Event(time, seq, fn, args)
-            event.recyclable = True
-        heapq.heappush(self._heap, (time, seq, event))
+        heapq.heappush(self._heap, (time, seq, None, fn, args))
 
     def every(self, period: float, fn: Callable, *args: Any,
               start_after: Optional[float] = None) -> PeriodicTimer:
@@ -331,20 +307,17 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
         while self._heap:
-            event = heapq.heappop(self._heap)[2]
-            if event.cancelled:
-                self._cancelled_in_heap -= 1
-                self._events_cancelled += 1
-                self._flush_kernel_metrics()
-                continue
-            event.fired = True
-            self._now = event.time
+            time, _seq, handle, fn, args = heapq.heappop(self._heap)
+            if handle is not None:
+                if handle.cancelled:
+                    self._cancelled_in_heap -= 1
+                    self._events_cancelled += 1
+                    self._flush_kernel_metrics()
+                    continue
+                handle.fired = True
+            self._now = time
             self._events_executed += 1
-            event.fn(*event.args)
-            if event.recyclable and len(self._free) < _FREE_LIST_CAP:
-                event.fn = None
-                event.args = ()
-                self._free.append(event)
+            fn(*args)
             self._flush_kernel_metrics()
             return True
         return False
@@ -359,7 +332,8 @@ class Simulator:
         alias stays valid.
         """
         heap = self._heap
-        live = [entry for entry in heap if not entry[2].cancelled]
+        live = [entry for entry in heap
+                if entry[2] is None or not entry[2].cancelled]
         removed = len(heap) - len(live)
         if removed:
             heap[:] = live
@@ -403,49 +377,47 @@ class Simulator:
         objects) — this is the hottest few lines of the whole simulator.
         Events sharing a timestamp are dispatched as one batch: the
         until/cancelled guards run once per timestamp, not once per
-        event, and fired ``post`` events are recycled onto the free-list.
+        event.  A post (``handle is None``) costs a pop and a call.
         """
         self._halted = False
         heap = self._heap
         pop = heapq.heappop
-        free = self._free
         executed = 0
         try:
-            head = heap[0][2] if heap else None
-            while head is not None and not self._halted:
-                if head.cancelled:
+            entry = heap[0] if heap else None
+            while entry is not None and not self._halted:
+                now, _seq, handle, fn, args = entry
+                if handle is not None and handle.cancelled:
                     pop(heap)
                     self._cancelled_in_heap -= 1
                     self._events_cancelled += 1
-                    head = heap[0][2] if heap else None
+                    entry = heap[0] if heap else None
                     continue
-                if until is not None and head.time > until:
+                if until is not None and now > until:
                     break
                 if max_events is not None and executed >= max_events:
                     break
                 # Batched same-timestamp dispatch.  Every event in the
-                # batch shares head.time <= until, so only halt /
-                # max_events / cancellation need re-checking; heap[0] is
-                # re-read after each callback so zero-delay schedules
-                # made by the callback join the current batch in order,
-                # and the head that ends a batch is carried back to the
-                # outer checks without a second heap read.
-                now = head.time
+                # batch shares now <= until, so only halt / max_events /
+                # cancellation need re-checking; heap[0] is re-read
+                # after each callback so zero-delay schedules made by
+                # the callback join the current batch in order, and the
+                # entry that ends a batch is carried back to the outer
+                # checks without a second heap read.
                 self._now = now
                 while True:
                     pop(heap)
-                    head.fired = True
+                    if handle is not None:
+                        handle.fired = True
                     executed += 1
-                    head.fn(*head.args)
-                    if head.recyclable and len(free) < _FREE_LIST_CAP:
-                        head.fn = None
-                        head.args = ()
-                        free.append(head)
+                    fn(*args)
                     if not heap or self._halted:
-                        head = None
+                        entry = None
                         break
-                    head = heap[0][2]
-                    if head.time != now or head.cancelled:
+                    entry = heap[0]
+                    time, _seq, handle, fn, args = entry
+                    if time != now or (handle is not None
+                                       and handle.cancelled):
                         break
                     if max_events is not None and executed >= max_events:
                         break

@@ -37,8 +37,11 @@ from repro.util.atomicio import write_bytes
 
 MAGIC = b"SPIRESNAP"
 
-#: Bump on any incompatible change to header fields or payload layout.
-SCHEMA_VERSION = 1
+#: Bump on any incompatible change to header fields or payload layout
+#: — the kernel's heap entry shape included, since a payload pickled
+#: around the old shape would only fail later, inside ``run()``.
+#: 2: heap entries are ``(time, seq, handle, fn, args)``.
+SCHEMA_VERSION = 2
 
 
 class SnapshotError(RuntimeError):

@@ -196,7 +196,7 @@ class SpinesDaemon(Process):
                 session.stats.dropped_no_route += 1
             return
         self._send_envelope(hop, LinkEnvelope(sender=self.name, kind="data",
-                                              body=message))
+                                              body=message), self.now)
 
     def _flood(self, message: OverlayMessage, arrived_from: Optional[str]) -> None:
         key = message.flood_key()
@@ -213,9 +213,10 @@ class SpinesDaemon(Process):
         # depends on (sender, kind, body) but not on the receiving
         # neighbor, and the envelope is immutable once MACed.
         envelope = LinkEnvelope(sender=self.name, kind="data", body=message)
+        now = self.now
         for neighbor in self.neighbors:
             if neighbor != arrived_from:
-                self._send_envelope(neighbor, envelope)
+                self._send_envelope(neighbor, envelope, now)
 
     def _fairness_admit(self, src_daemon: str) -> bool:
         """Token-bucket fairness per source daemon."""
@@ -229,7 +230,10 @@ class SpinesDaemon(Process):
         window[1] += 1
         return True
 
-    def _send_envelope(self, neighbor: str, envelope: LinkEnvelope) -> None:
+    def _send_envelope(self, neighbor: str, envelope: LinkEnvelope,
+                       now: float) -> None:
+        """Send to one neighbor; ``now`` is the caller's clock reading
+        (one read covers a whole fan-out) and stamps the counter."""
         target = self.neighbors.get(neighbor)
         if target is None:
             return
@@ -239,7 +243,7 @@ class SpinesDaemon(Process):
         ip, port = target
         self.host.udp_send(ip, port, envelope, src_port=self.port)
         self.stats_forwarded += 1
-        self._metric_forwarded.inc()
+        self._metric_forwarded.inc(1, now)
 
     # ------------------------------------------------------------------
     # Receive path
@@ -355,7 +359,8 @@ class SpinesDaemon(Process):
             hop = self.next_hop.get(message.src_daemon)
             if hop is not None:
                 self._send_envelope(hop, LinkEnvelope(sender=self.name,
-                                                      kind="ack", body=ack))
+                                                      kind="ack", body=ack),
+                                    self.now)
 
     def _ack_in(self, ack: AckBody) -> None:
         state = self._reliable_pending.pop((ack.src_daemon, ack.seq), None)

@@ -81,12 +81,15 @@ class Counter(Metric):
         super().__init__(name, component, clock)
         self.value = 0
 
-    def inc(self, amount: int = 1) -> None:
+    def inc(self, amount: int = 1, now: Optional[float] = None) -> None:
+        """Count ``amount``.  A per-frame caller that already holds the
+        clock reading passes it as ``now`` and saves the clock call;
+        ``updated_at`` is the same either way."""
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease "
                              f"(inc by {amount})")
         self.value += amount
-        self._touch()
+        self.updated_at = self._clock() if now is None else now
 
     def snapshot(self) -> Dict[str, Any]:
         return {"kind": self.kind, "name": self.name,

@@ -14,11 +14,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.api import GridSpec, build_world
+from repro.api import GridSpec, Simulator, build_world
 from repro.crypto import KeyStore, mac_payload, set_cache_enabled, verify_mac
-from repro.net import Subnet, udp_frame
+from repro.net import Host, Lan, Subnet, udp_frame
 from repro.net.addresses import ip_int, same_subnet
-from repro.net.packet import ETHER_HEADER, payload_size
+from repro.net.host import ROUTE_MEMO_SIZE, Interface
+from repro.net.packet import (
+    ETHER_HEADER, ArpMessage, TcpSegment, UdpDatagram, payload_size,
+)
 from repro.spines.messages import IT_FLOOD, RELIABLE, LinkEnvelope, OverlayMessage
 
 
@@ -99,6 +102,55 @@ def test_kept_frame_sizes_match_fresh_sizes_over_a_plant_run():
                for kept, copied, fresh in seen)
 
 
+@pytest.fixture
+def born(monkeypatch):
+    """``(size the frame was built with, fresh recursive size, payload
+    type)`` of every frame a NIC sends, read before the link sizes it."""
+    seen = []
+    send_frame = Interface.send_frame
+
+    def spy(iface, frame):
+        inner = frame.payload
+        seen.append((frame._wire_size, frame.copy().wire_size(),
+                     type(getattr(inner, "payload", inner))))
+        return send_frame(iface, frame)
+
+    monkeypatch.setattr(Interface, "send_frame", spy)
+    return seen
+
+
+def test_udp_frames_are_born_with_the_recursive_size(born):
+    """``Host.udp_send`` sizes the frame from the three headers and the
+    payload before the frame exists; ARP and TCP frames still size on
+    first use."""
+    world = build_world(GridSpec.single_plant())
+    world.run(until=2.0)
+    sized = [(size, fresh) for size, fresh, _kind in born if size is not None]
+    assert len(sized) > 10_000 and len(set(sized)) > 10
+    assert all(size == fresh for size, fresh in sized)
+    assert ({kind for size, _fresh, kind in born if size is not None}
+            == {UdpDatagram})
+    assert ({kind for size, _fresh, kind in born if size is None}
+            == {TcpSegment, ArpMessage})
+
+
+def test_arp_parked_datagram_sizes_on_first_use(born):
+    sim = Simulator()
+    lan = Lan(sim, "lan", "10.0.0.0/24")
+    sender, receiver = Host(sim, "a"), Host(sim, "b")
+    lan.connect(sender)
+    lan.connect(receiver)
+    got = []
+    receiver.udp_bind(9, lambda ip, port, payload: got.append(payload))
+    assert sender.udp_send(lan.ip_of(receiver), 9, "x" * 100)   # parked
+    sim.run(until=1.0)
+    assert sender.udp_send(lan.ip_of(receiver), 9, "y" * 50)
+    sim.run(until=2.0)
+    assert got == ["x" * 100, "y" * 50]
+    assert born == [(None, 42, ArpMessage), (None, 42, ArpMessage),
+                    (None, 142, UdpDatagram), (92, 92, UdpDatagram)]
+
+
 def test_frame_copy_never_carries_a_stale_size():
     frame = udp_frame("m1", "m2", "1.1.1.1", "2.2.2.2", 1, 2, "x" * 10)
     size = frame.wire_size()
@@ -111,6 +163,62 @@ def test_frame_copy_never_carries_a_stale_size():
     grown = replace(frame, payload="y" * 500)
     assert grown.wire_size() == ETHER_HEADER + 500
     assert frame.wire_size() == size
+
+
+# ---------------------------------------------------------------------------
+# Host._resolve: remembered route == interface scan
+# ---------------------------------------------------------------------------
+def _scan(host, dst_ip):
+    """The parent commit's ``Host._resolve``, word for word."""
+    for iface in host.interfaces:
+        if iface.subnet.contains(dst_ip):
+            return iface, dst_ip
+    return host._gateway_iface, host._gateway_ip
+
+
+@given(st.lists(cidrs, min_size=1, max_size=4),
+       st.lists(addresses, min_size=1, max_size=6), st.data())
+def test_remembered_routes_match_the_interface_scan(nets, outside, data):
+    host = Host(Simulator(), "h")
+    # Destinations inside each network-to-be as well as anywhere.
+    inside = [str(network[data.draw(
+        st.integers(0, network.num_addresses - 1))])
+        for network in map(ipaddress.ip_network, nets)]
+    destinations = outside + inside
+
+    def check():
+        for _ in range(2):              # the scan, then the memo
+            for dst in destinations:
+                assert host._resolve(dst) == _scan(host, dst)
+                assert host.interface_for(dst) is _scan(host, dst)[0]
+
+    check()                             # no interface: (None, None)
+    for index, cidr in enumerate(nets):
+        iface = host.add_interface(f"eth{index}", f"m{index}",
+                                   inside[index], cidr)
+        check()
+        if data.draw(st.booleans()):
+            host.set_default_gateway(iface, inside[index])
+            check()
+
+
+def test_route_memo_is_bounded_and_forgets_nothing_it_should_keep():
+    host = Host(Simulator(), "h")
+    lan = host.add_interface("eth0", "m0", "10.0.0.1", "10.0.0.0/8")
+    for value in range(ROUTE_MEMO_SIZE * 3):
+        dst = str(ipaddress.IPv4Address(ip_int("10.0.0.0") + value))
+        assert host._resolve(dst) == (lan, dst)
+        assert len(host._routes) <= ROUTE_MEMO_SIZE
+    assert host._resolve("11.0.0.1") == (None, None)
+    wan = host.add_interface("eth1", "m1", "11.0.0.9", "11.0.0.0/24")
+    assert host._resolve("11.0.0.1") == (wan, "11.0.0.1")
+    assert host._resolve("12.0.0.1") == (None, None)
+    host.set_default_gateway(wan, "11.0.0.254")
+    assert host._resolve("12.0.0.1") == (wan, "11.0.0.254")
+    # A failed parse is never remembered as an answer.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            host._resolve("12.0.0")
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ the source of the difference and record it here — do not loosen a
 literal to a count.
 """
 
+import hashlib
+
 from repro.api import (
     GridSpec, Simulator, build_world, make_town_spec, report_digest,
     run_campaign,
@@ -58,6 +60,17 @@ def test_single_plant_3s():
     assert _witness(world.sim) == (
         "370cdf733bff779bbdbd9f5bc864f7dde394a38f7e0c363e15a836910ac0b23a",
         226997)
+
+
+def test_single_plant_3s_metrics_export():
+    # event_digest does not cover a metric's ``updated_at``; the export
+    # does.  Captured on the commit before PR 15 (caller-stamped
+    # counters), which must not move a single timestamp.
+    world = build_world(GridSpec.single_plant())
+    world.run(until=3.0)
+    export = world.sim.metrics.to_json()
+    assert hashlib.sha256(export.encode()).hexdigest() == (
+        "da1844db971bc944ec56ad483d1198bf9e268da974cbaf32259431aebf76f549")
 
 
 def test_town5_2s():

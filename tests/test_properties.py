@@ -10,7 +10,9 @@ from repro.crypto import (
 )
 from repro.mana.features import FEATURE_NAMES, FeatureExtractor
 from repro.net.arp import ArpTable
-from repro.net.firewall import Firewall, FirewallRule, INBOUND, OUTBOUND
+from repro.net.firewall import (
+    Firewall, FirewallRule, INBOUND, OUTBOUND, VERDICT_MEMO_SIZE,
+)
 from repro.net.tap import PacketRecord
 from repro.plc.topology import PowerTopology
 from repro.prime.config import PrimeConfig, replicas_required
@@ -163,6 +165,79 @@ def test_firewall_first_match_wins(rules, direction, proto, ip, lport,
             expected = rule.action == "allow"
             break
     assert fw.permits(direction, proto, ip, lport, rport) == expected
+
+
+def _first_match(rules, default_allow, flow):
+    """The reference ``Firewall.check`` is held against: a fresh scan,
+    first matching rule decides, ``None`` in a rule is a wildcard."""
+    for rule in rules:
+        fields = (rule.direction, rule.proto, rule.remote_ip,
+                  rule.local_port, rule.remote_port)
+        if fields[0] == flow[0] and all(
+                want is None or want == got
+                for want, got in zip(fields[1:], flow[1:])):
+            return rule.action == "allow"
+    return default_allow
+
+
+flow_strategy = st.tuples(
+    st.sampled_from([INBOUND, OUTBOUND]), st.sampled_from(["udp", "tcp"]),
+    st.sampled_from(["10.0.0.1", "10.0.0.2"]),
+    st.sampled_from([80, 8100]), st.sampled_from([80, 8100]))
+
+firewall_ops = st.lists(st.one_of(
+    st.tuples(st.just("check"), flow_strategy),
+    st.tuples(st.just("check"), flow_strategy),
+    st.tuples(st.just("add"), rule_strategy),
+    st.tuples(st.just("rules"), st.lists(rule_strategy, max_size=4)),
+    st.tuples(st.just("default"), st.booleans())), max_size=40)
+
+
+@given(firewall_ops, st.booleans())
+def test_firewall_remembered_verdicts_follow_every_rule_change(
+        ops, default_allow):
+    fw = Firewall(default_allow=default_allow)
+    rules, dropped = [], 0
+    for op, value in ops:
+        if op == "check":
+            expected = _first_match(rules, default_allow, value)
+            # Twice: the scan, then the remembered verdict.
+            for _ in range(2):
+                assert fw.check(*value) is expected
+                dropped += not expected
+            assert fw.permits(*value) is expected
+        elif op == "add":
+            add = fw.allow if value.action == "allow" else fw.deny
+            add(value.direction, value.proto, value.remote_ip,
+                value.local_port, value.remote_port)
+            rules.append(value)
+        elif op == "rules":
+            fw.rules = value
+            rules = list(value)
+        else:
+            fw.default_allow = default_allow = value
+        assert list(fw.rules) == rules
+        assert fw.packets_dropped == dropped
+
+
+def test_firewall_verdict_memo_is_bounded_under_a_port_sweep():
+    fw = Firewall(default_allow=False)
+    fw.deny(INBOUND, "tcp", remote_port=4444)
+    fw.allow(INBOUND, "tcp", "10.0.0.1")
+    fw.allow(OUTBOUND, "udp", local_port=8100)
+    rules = list(fw.rules)
+    refused = 0
+    for port in range(70_000):
+        for flow in ((INBOUND, "tcp", "10.0.0.1", port, 4440 + port % 8),
+                     (INBOUND, "tcp", "10.0.0.2", port, 80),
+                     (OUTBOUND, "udp", "10.0.0.1", 8100, port)):
+            expected = _first_match(rules, False, flow)
+            assert fw.check(*flow) is expected
+            refused += not expected
+        assert len(fw._verdicts) <= VERDICT_MEMO_SIZE
+    assert fw.packets_dropped == refused > 70_000
+    # Its rules cannot be edited in place behind the memo.
+    assert isinstance(fw.rules, tuple)
 
 
 # ---------------------------------------------------------------------------

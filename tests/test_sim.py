@@ -56,6 +56,28 @@ def test_cannot_schedule_in_past():
         sim.schedule(-1.0, lambda: None)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -1.0, float("-inf")])
+def test_nan_and_negative_times_are_refused(bad):
+    # NaN compares False with everything: written ``x < bound`` the
+    # guards let it through, the entry sat anywhere in the heap and the
+    # clock *became* NaN when it fired.
+    sim = Simulator()
+    sim.run(until=1.0)
+    fired = []
+    for call in (sim.schedule, sim.at, sim.post, sim.post_at):
+        with pytest.raises(SimulationError):
+            call(bad, fired.append, "x")
+    assert sim.pending_events == 0
+    # The bounds themselves are fine: zero delay, and exactly now.
+    sim.schedule(0.0, fired.append, "schedule")
+    sim.at(sim.now, fired.append, "at")
+    sim.post(0.0, fired.append, "post")
+    sim.post_at(sim.now, fired.append, "post_at")
+    sim.run()
+    assert fired == ["schedule", "at", "post", "post_at"]
+    assert sim.now == 1.0
+
+
 def test_periodic_timer_fires_repeatedly_and_stops():
     sim = Simulator()
     ticks = []
@@ -170,7 +192,7 @@ def test_process_guarded_call_later_after_shutdown():
 
 
 # ----------------------------------------------------------------------
-# Batched same-timestamp dispatch, post() free-list, lazy-cancel sweep
+# Batched same-timestamp dispatch, post(), lazy-cancel sweep
 # ----------------------------------------------------------------------
 def test_batched_dispatch_preserves_schedule_order_with_zero_delay():
     # Events scheduled *during* a same-timestamp batch at that same
@@ -225,38 +247,18 @@ def test_post_runs_like_schedule_but_returns_no_handle():
     assert sim.events_executed == 3
 
 
-def test_post_recycles_event_objects():
-    sim = Simulator()
-    fired = []
-    sim.post(1.0, fired.append, 1)
-    sim.run()
-    recycled = sim._free[-1]
-    # Recycled events are scrubbed (no callback/arg retention) ...
-    assert recycled.fn is None and recycled.args == ()
-    # ... and reused by the next post() instead of a fresh allocation:
-    # the free-list empties, and the same object comes back scrubbed
-    # once its second callback has fired.
-    sim.post(1.0, fired.append, 2)
-    assert sim._free == []
-    assert (recycled.time, recycled.fired, recycled.args) == (2.0, False, (2,))
-    sim.run()
-    assert fired == [1, 2]
-    assert sim._free == [recycled]
-    assert recycled.fn is None and recycled.args == ()
-
-
 def test_schedule_events_are_never_recycled():
-    # Handle-holding callers may cancel after unrelated posts fired;
-    # a recycled handle would cancel someone else's event.
+    # A handle stands for one heap entry for good: cancelling it after
+    # unrelated posts have fired cancels its own event and nothing else.
     sim = Simulator()
     fired = []
     handle = sim.schedule(2.0, fired.append, "scheduled")
     sim.post(1.0, fired.append, "posted")
+    sim.post(3.0, fired.append, "posted later")
     sim.run(until=1.0)
-    assert handle not in sim._free
     handle.cancel()
     sim.run()
-    assert fired == ["posted"]
+    assert fired == ["posted", "posted later"]
 
 
 def test_mass_cancellation_sweeps_heap():
@@ -276,8 +278,131 @@ def test_mass_cancellation_sweeps_heap():
 
 
 # ----------------------------------------------------------------------
-# (time, seq, event) heap entries
+# (time, seq, handle, fn, args) heap entries
 # ----------------------------------------------------------------------
+class _Uncomparable:
+    """A callable (and argument) that refuses to be ordered."""
+
+    def __init__(self, sink, label):
+        self.sink, self.label = sink, label
+
+    def __call__(self, *args):
+        self.sink.append(self.label)
+
+    def _refuse(self, other):
+        raise AssertionError("heap entries compared past seq")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+
+def test_heap_entries_never_compare_past_seq():
+    # seq is unique per simulator, so tuple comparison stops there and
+    # never reaches the handle, the callable or its arguments.
+    sim = Simulator()
+    order = []
+    for i in range(50):
+        label = f"post{i}"
+        sim.post_at(1.0, _Uncomparable(order, label),
+                    _Uncomparable(order, None))
+        sim.at(1.0, _Uncomparable(order, f"at{i}"), {"unorderable": i})
+    sim.at(1.0, order.append, "last").cancel()
+    sim._sweep_cancelled()              # heapify compares entries too
+    sim.run()
+    assert order == [f"{kind}{i}" for i in range(50)
+                     for kind in ("post", "at")]
+
+
+def test_posts_carry_no_event_object():
+    sim = Simulator()
+    handle = sim.at(1.0, print, "x")
+    sim.post_at(1.0, print, "y")
+    assert sim._heap == [(1.0, 0, handle, print, ("x",)),
+                         (1.0, 1, None, print, ("y",))]
+    assert not hasattr(handle, "fn") and not hasattr(handle, "args")
+
+
+def test_sweep_keeps_every_post_and_every_live_handle():
+    sim = Simulator()
+    fired = []
+    live, dead = [], []
+    for i in range(40):
+        sim.post(1.0 + i, fired.append, ("post", i))
+        live.append(sim.schedule(1.5 + i, fired.append, ("live", i)))
+        dead.append(sim.schedule(1.25 + i, fired.append, ("dead", i)))
+    for handle in dead:
+        handle.cancel()                 # 40 < the automatic threshold
+    assert len(sim._heap) == 120 and sim.pending_events == 80
+    sim._sweep_cancelled()
+    assert len(sim._heap) == 80 and sim.pending_events == 80
+    assert sim._cancelled_in_heap == 0
+    assert [entry[2] for entry in sorted(sim._heap)
+            if entry[2] is not None] == live
+    assert sum(entry[2] is None for entry in sim._heap) == 40
+    sim.run()
+    assert fired == [(kind, i) for i in range(40)
+                     for kind in ("post", "live")]
+    assert all(handle.fired for handle in live)
+    assert not any(handle.fired for handle in dead)
+    # Reaped by the sweep, counted as cancelled exactly once.
+    assert sim.metrics.get("sim.events_cancelled", "kernel").value == 40
+
+
+def test_periodic_timer_stopped_from_its_own_callback_stays_stopped():
+    sim = Simulator()
+    ticks = []
+
+    def tick():
+        ticks.append(sim.now)
+        if len(ticks) == 3:
+            timer.stop()
+
+    timer = sim.every(1.0, tick)
+    sim.post(10.0, ticks.append, "end")
+    sim.run()
+    assert ticks == [1.0, 2.0, 3.0, "end"]
+    assert timer.stopped and sim.pending_events == 0
+
+
+def _mixed_batch(sim, seen):
+    """Six entries at t=1.0, alternating post / at, halting at the
+    third; one cancelled handle in the middle of the batch."""
+    sim.post(1.0, seen.append, 0)
+    sim.at(1.0, seen.append, 1)
+    sim.post_at(1.0, sim.halt)
+    sim.schedule(1.0, seen.append, "cancelled").cancel()
+    sim.post(1.0, seen.append, 3)
+    sim.at(1.0, seen.append, 4)
+    sim.post(1.0, seen.append, 5)
+
+
+def test_halt_stops_inside_a_batch_of_posts_and_handles():
+    sim = Simulator()
+    seen = []
+    _mixed_batch(sim, seen)
+    sim.run()
+    assert seen == [0, 1] and sim.events_executed == 3
+    assert sim.pending_events == 3
+    sim.run()
+    assert seen == [0, 1, 3, 4, 5] and sim.events_executed == 6
+
+
+def test_max_events_stops_inside_a_batch_of_posts_and_handles():
+    sim = Simulator()
+    seen = []
+    _mixed_batch(sim, seen)
+    sim.run(max_events=2)
+    assert seen == [0, 1] and sim.pending_events == 4
+    # halt() fires as the third event and ends this run as well; the
+    # cancelled entry is skipped without counting against max_events.
+    sim.run(max_events=2)
+    assert seen == [0, 1] and sim.events_executed == 3
+    sim.run(max_events=2)
+    assert seen == [0, 1, 3, 4]
+    assert sim.step() and seen == [0, 1, 3, 4, 5]
+    assert not sim.step()
+    assert sim.events_executed == 6 and sim.now == 1.0
+
+
 def test_same_timestamp_order_across_at_post_and_zero_delay_callbacks():
     sim = Simulator()
     order = []
@@ -334,7 +459,7 @@ def test_pending_events_exact_through_cancel_and_sweep():
 
 class _Chain:
     """Picklable workload for the save/restore test: each firing logs,
-    posts a recyclable follow-up and re-arms a cancellable handle."""
+    posts a follow-up and re-arms a cancellable handle."""
 
     def __init__(self, sim):
         self.sim = sim
@@ -364,18 +489,19 @@ def test_midrun_save_restores_to_same_digest(tmp_path):
 
     saved = build()
     saved.run(until=4.1)
-    # Pending and cancelled-in-heap events ride along; the free-list of
-    # recycled events is a cache and stays behind, untouched.
-    assert saved.pending_events > 0
+    # Pending posts (bare tuples), live handles and a cancelled handle
+    # still in the heap all ride along.
+    handles = [entry[2] for entry in saved._heap]
+    assert None in handles
+    assert any(h is not None and h.cancelled for h in handles)
+    assert any(h is not None and not h.cancelled for h in handles)
     assert saved._cancelled_in_heap > 0
-    recyclable = list(saved._free)
-    assert recyclable
     path = str(tmp_path / "kernel.snap")
     saved.save(path)
-    assert saved._free == recyclable
     restored = Simulator.restore(path)
-    assert restored._free == []
-    assert restored.pending_events == saved.pending_events
+    assert restored.pending_events == saved.pending_events > 0
+    assert ([entry[:2] for entry in restored._heap]
+            == [entry[:2] for entry in saved._heap])
     assert restored._cancelled_in_heap == saved._cancelled_in_heap
     assert restored.event_digest() == saved.event_digest()
     for sim in (saved, restored):

@@ -99,11 +99,20 @@ class TestFormat:
         snapshot_format.dump(path, "world", {}, {})
         magic, header_line, rest = open(path, "rb").read().split(b"\n", 2)
         header = json.loads(header_line)
-        header["schema"] = snapshot_format.SCHEMA_VERSION + 1
-        write_bytes(path, b"\n".join([
-            magic, json.dumps(header, sort_keys=True).encode(), rest]))
-        with pytest.raises(SnapshotError, match="schema"):
-            read_header(path)
+        # Any other schema, older as well as newer: up to PR 14 heap
+        # entries were (time, seq, event), and a schema-1 payload would
+        # otherwise unpickle and fail somewhere inside run().
+        for schema in (1, snapshot_format.SCHEMA_VERSION + 1):
+            header["schema"] = schema
+            data = b"\n".join([
+                magic, json.dumps(header, sort_keys=True).encode(), rest])
+            write_bytes(path, data)
+            for read in (lambda: read_header(path),
+                         lambda: snapshot_format.load(path),
+                         lambda: snapshot_format.loads(data)):
+                with pytest.raises(SnapshotError,
+                                   match=f"schema {schema} is not"):
+                    read()
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         path = str(tmp_path / "x.snap")
