@@ -18,8 +18,8 @@ literal to a count.
 import hashlib
 
 from repro.api import (
-    GridSpec, Simulator, build_world, make_town_spec, report_digest,
-    run_campaign,
+    GridSpec, ShardedGridWorld, Simulator, build_redteam_testbed,
+    build_world, make_town_spec, report_digest, run_campaign,
 )
 from repro.net import Host, Lan
 from repro.plc import PlcDevice, redteam_topology
@@ -93,3 +93,43 @@ def test_crash_recover_campaign_cell_with_mana():
     report = run_campaign(["crash-recover"], seeds=[1], mana=True)
     assert report_digest(report) == (
         "9254f68ddb9550e181abcd141ae43b80255216225d2c7acfcffa5c49a924acfd")
+
+
+# The four below were captured on the commit before the wiring kernel
+# (PR 20) and cover the builders no literal above reaches: the shard
+# kernels, the Fig. 3 testbed, a grid campaign cell (warm restore,
+# cell-started proactive recovery), and a site on the DNP3 proxy with
+# threshold-signed directives.
+def test_sharded_town5_3s():
+    with ShardedGridWorld(make_town_spec(5), shards=1) as world:
+        world.start_workload(4, start=0.3, interval=0.6)
+        world.run(until=3.0)
+        digest = world.event_digest()
+    assert digest == (
+        "4a12b11e10c0d557d81e90d644c7c20a684df617a7dd1ce6de3b43c2d6af492b")
+
+
+def test_redteam_testbed_3s():
+    sim = Simulator(seed=3)
+    testbed = build_redteam_testbed(sim)
+    testbed.start_cyclers()
+    sim.run(until=3.0)
+    assert _witness(sim) == (
+        "8e10ca9a9ea9382ea8978c7bfbeb2cf82fcb376255c8b7156001aec60154c446",
+        19922)
+
+
+def test_recovery_collision_grid_campaign_cell():
+    report = run_campaign(["recovery-collision"], seeds=[1],
+                          grid=make_town_spec(2), duration=8.0)
+    assert report_digest(report) == (
+        "b51d001eded37e890eae6ef194ba4c3ae6b2cbfd72b116417f651707442a7279")
+
+
+def test_single_plant_dnp3_threshold_2s():
+    world = build_world(GridSpec.single_plant(
+        generation_protocol="dnp3", use_threshold_directives=True))
+    world.run(until=2.0)
+    assert _witness(world.sim) == (
+        "92ccd8a8f41f2dd87dcf5f547a1e2e87dc17e134210f54e15c33c84fa07c66bd",
+        194854)
