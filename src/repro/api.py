@@ -12,20 +12,17 @@ federated multi-substation grid — and built with :func:`build_world`::
     print(world.sim.metrics.to_csv())
 
 :class:`SpireConfig` remains the single-site special case
-(``GridSpec.single_plant().spire_config()`` resolves to one); the
-legacy hand-wired constructors ``plant_config()`` / ``redteam_config()``
-still work but emit :class:`DeprecationWarning` naming the replacement.
+(``GridSpec.single_plant().spire_config()`` and
+``GridSpec.single_site("redteam").spire_config()`` resolve to one).
 
-Importing from the historical locations (``repro.core``, ``repro.sim``)
-still works but emits :class:`DeprecationWarning` naming the
-replacement here.  Deep module paths (``repro.core.spire``,
-``repro.sim.simulator``, ...) remain the stable internal layout and do
-not warn.
+The ``repro.core`` / ``repro.sim`` packages re-export nothing; deep
+module paths (``repro.core.spire``, ``repro.sim.simulator``, ...) are
+the stable internal layout.
 """
 
 from __future__ import annotations
 
-from repro.core.config import SpireConfig, plant_config, redteam_config
+from repro.core.config import SpireConfig
 from repro.grid import (
     ClientPopulationSpec, GridPhysics, GridSpec, GridSpecError, GridWorld,
     OverlayRegionSpec, PhysicsSpec, SubstationSpec, build_world,
@@ -68,7 +65,7 @@ __all__ = [
     "GridWorld", "OverlayRegionSpec", "PhysicsSpec", "SubstationSpec",
     "build_world", "load_grid_spec", "make_town_spec",
     # Deployment configuration and builders
-    "SpireConfig", "plant_config", "redteam_config",
+    "SpireConfig",
     "PlcUnit", "SpireSystem", "build_spire",
     "BreakerCycler", "EnterpriseChatter", "RedTeamTestbed",
     "build_redteam_testbed",

@@ -1,45 +1,10 @@
-"""Deprecated import location — use :mod:`repro.api` instead.
+"""The Spire system itself: deployment configuration
+(``repro.core.config``), the one wiring kernel every world is laid out
+over (``repro.core.wiring``), the paper-site layout
+(``repro.core.spire``), the Fig. 3 red-team testbed
+(``repro.core.deployment``) and the E9 measurement device
+(``repro.core.measurement``).
 
-This package's submodules (``repro.core.config``, ``repro.core.spire``,
-``repro.core.deployment``, ``repro.core.measurement``) are the stable
-internal layout and import without warnings.  Pulling names from
-``repro.core`` itself is the legacy surface: it still works, but emits
-``DeprecationWarning`` pointing at the :mod:`repro.api` replacement.
+Import from the submodules, or from :mod:`repro.api` — the public
+entry point.  This package re-exports nothing.
 """
-
-from __future__ import annotations
-
-import importlib
-import warnings
-
-_MOVED = {
-    "SpireConfig": "repro.core.config",
-    "plant_config": "repro.core.config",
-    "redteam_config": "repro.core.config",
-    "PlcUnit": "repro.core.spire",
-    "SpireSystem": "repro.core.spire",
-    "build_spire": "repro.core.spire",
-    "MeasurementDevice": "repro.core.measurement",
-    "ReactionSample": "repro.core.measurement",
-    "BreakerCycler": "repro.core.deployment",
-    "EnterpriseChatter": "repro.core.deployment",
-    "RedTeamTestbed": "repro.core.deployment",
-    "build_redteam_testbed": "repro.core.deployment",
-}
-
-__all__ = sorted(_MOVED)
-
-
-def __getattr__(name: str):
-    home = _MOVED.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name!r} from 'repro.core' is deprecated; use "
-        f"'from repro.api import {name}' instead",
-        DeprecationWarning, stacklevel=2)
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_MOVED))

@@ -10,14 +10,13 @@ Captures the two deployments from the paper:
   B56), ten distribution + six generation PLCs, three HMIs (the plant
   had HMIs in three locations).
 
-The public constructors for these presets are deprecated in favor of
-the declarative spec layer: ``GridSpec.single_site("plant", ...)``
-(see :mod:`repro.grid`) resolves to the same :class:`SpireConfig`.
+The presets are reached through the declarative spec layer:
+``GridSpec.single_site("plant", ...).spire_config()`` (see
+:mod:`repro.grid`) resolves to the :class:`SpireConfig` of a site.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.prime.config import PrimeTiming
@@ -70,11 +69,9 @@ def _apply_overrides(base: SpireConfig, overrides: dict) -> SpireConfig:
 
 
 def _site_base(site: str) -> SpireConfig:
-    """The preset :class:`SpireConfig` of one of the paper's sites.
-
-    Internal (no deprecation warning): the spec layer resolves
-    single-site :class:`~repro.grid.spec.GridSpec` objects through this.
-    """
+    """The preset :class:`SpireConfig` of one of the paper's sites
+    (single-site :class:`~repro.grid.spec.GridSpec` objects resolve
+    through this)."""
     if site == "redteam":
         return SpireConfig(name="redteam-2017", f=1, k=0,
                            n_distribution_plcs=10, n_generation_plcs=0,
@@ -84,39 +81,3 @@ def _site_base(site: str) -> SpireConfig:
                            n_distribution_plcs=10, n_generation_plcs=6,
                            physical_scenario="plant", n_hmis=3)
     raise ValueError(f"unknown site {site!r}; choose 'plant' or 'redteam'")
-
-
-def redteam_config(**overrides) -> SpireConfig:
-    """The 2017 red-team experiment deployment (Section IV).
-
-    .. deprecated::
-        Use ``GridSpec.single_site("redteam", ...).spire_config()``
-        (``from repro.api import GridSpec``); hand-wired constructors
-        are subsumed by the declarative spec layer.
-
-    Keyword overrides must name real :class:`SpireConfig` fields
-    (``n_distribution_plcs=3``, ``seed=7``, ``telemetry=False``, ...);
-    typos raise ``TypeError`` instead of silently attaching attributes.
-    """
-    warnings.warn(
-        "redteam_config() is deprecated; use "
-        "GridSpec.single_site('redteam', ...).spire_config() "
-        "(from repro.api import GridSpec)",
-        DeprecationWarning, stacklevel=2)
-    return _apply_overrides(_site_base("redteam"), overrides)
-
-
-def plant_config(**overrides) -> SpireConfig:
-    """The 2018 power plant test deployment (Section V).
-
-    .. deprecated::
-        Use ``GridSpec.single_plant(...).spire_config()``
-        (``from repro.api import GridSpec``); hand-wired constructors
-        are subsumed by the declarative spec layer.
-    """
-    warnings.warn(
-        "plant_config() is deprecated; use "
-        "GridSpec.single_plant(...).spire_config() "
-        "(from repro.api import GridSpec)",
-        DeprecationWarning, stacklevel=2)
-    return _apply_overrides(_site_base("plant"), overrides)

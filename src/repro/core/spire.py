@@ -1,4 +1,5 @@
-"""The Spire intrusion-tolerant SCADA system (Fig. 2 wiring).
+"""The Spire intrusion-tolerant SCADA system (Fig. 2) as deployed at
+one of the paper's sites — a layout over :mod:`repro.core.wiring`.
 
 Builds a complete deployment on the simulated substrate:
 
@@ -18,72 +19,42 @@ Builds a complete deployment on the simulated substrate:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.crypto.keys import KeyStore
-from repro.diversity.multicompiler import MultiCompiler
-from repro.diversity.recovery import ProactiveRecoveryScheduler, RecoveryTarget
-from repro.net.firewall import locked_down_firewall
-from repro.net.host import Host
-from repro.net.lan import Lan
-from repro.net.osprofile import centos_minimal_latest
-from repro.plc.device import PlcDevice
+from repro.core.config import SpireConfig
+from repro.core.wiring import Deployment, PlcUnit
+from repro.diversity.recovery import ProactiveRecoveryScheduler
 from repro.plc.topology import (
-    PowerTopology, distribution_scenario, generation_scenario,
-    plant_topology, redteam_topology,
+    distribution_scenario, generation_scenario, plant_topology,
+    redteam_topology,
 )
-from repro.prime.config import PrimeConfig, build_config
-from repro.prime.replica import PrimeReplica, STATE_NORMAL
+from repro.prime.config import build_config
+from repro.prime.replica import STATE_NORMAL
 from repro.scada.history import Historian
 from repro.scada.hmi import Hmi
 from repro.scada.master import ScadaMaster
-from repro.scada.proxy import PlcProxy, wire_direct
+from repro.scada.proxy import PlcProxy
 from repro.sim.simulator import Simulator
-from repro.spines.overlay import SpinesNetwork
-from repro.core.config import SpireConfig
 
 
-@dataclass
-class PlcUnit:
-    """A PLC with its host, topology, and serving proxy."""
-
-    device: PlcDevice
-    host: Host
-    topology: PowerTopology
-    proxy: PlcProxy
-    physical: bool = False
-
-
-class SpireSystem:
-    """A fully wired Spire deployment.
+class SpireSystem(Deployment):
+    """A fully wired Spire deployment: the layout of one paper site.
 
     Construct with :func:`build_spire`; the attributes expose every
     component for tests, benchmarks, and attack harnesses.
     """
 
     def __init__(self, sim: Simulator, config: SpireConfig):
-        self.sim = sim
+        super().__init__(
+            sim, config.name,
+            build_config(f=config.f, k=config.k, timing=config.timing),
+            diversify=config.diversify)
         self.config = config
-        self.keystore = KeyStore(sim.rng.child(f"{config.name}/keys"))
-        self.compiler = MultiCompiler(sim.rng.child(f"{config.name}/mc"),
-                                      diversify=config.diversify)
-        self.prime_config: Optional[PrimeConfig] = None
-        self.internal_lan: Optional[Lan] = None
-        self.external_lan: Optional[Lan] = None
-        self.internal: Optional[SpinesNetwork] = None
-        self.external: Optional[SpinesNetwork] = None
-        self.replica_hosts: Dict[str, Host] = {}
-        self.replicas: Dict[str, PrimeReplica] = {}
         self.masters: Dict[str, ScadaMaster] = {}
         self.plcs: Dict[str, PlcUnit] = {}
         self.proxies: List[PlcProxy] = []
         self.hmis: List[Hmi] = []
         self.historian: Optional[Historian] = None
-        # Per-replica diversified builds (program -> CodeVariant);
-        # refreshed in place by the proactive-recovery scheduler.
-        self.variants: Dict[str, Dict[str, object]] = {}
-        self.recovery: Optional[ProactiveRecoveryScheduler] = None
         self.reset_epochs = 0
         self._breach_monitor = None
         self._breach_strikes = 0
@@ -159,26 +130,28 @@ class SpireSystem:
     # Proactive recovery
     # ------------------------------------------------------------------
     def start_proactive_recovery(self) -> ProactiveRecoveryScheduler:
-        if self.config.k < 1:
-            raise RuntimeError(
-                f"{self.config.name}: k={self.config.k} does not support "
-                "proactive recovery with bounded delay (needs 3f+2k+1 with "
-                "k >= 1, i.e. six replicas for f=1)")
-        targets = []
-        for name, replica in self.replicas.items():
-            host = self.replica_hosts[name]
-            daemons = [self.internal.daemon_on(host),
-                       self.external.daemon_on(host)]
-            targets.append(RecoveryTarget(name=name, host=host,
-                                          replica=replica, daemons=daemons,
-                                          variants=self.variants[name]))
-        self.recovery = ProactiveRecoveryScheduler(
-            self.sim, self.compiler, targets,
+        self.require_recovery_budget()
+        return self.start_recovery(
             period=self.config.proactive_recovery_period,
-            downtime=self.config.proactive_recovery_downtime,
-            k=self.config.k)
-        self.recovery.start()
-        return self.recovery
+            downtime=self.config.proactive_recovery_downtime)
+
+
+def _site_rtus(config: SpireConfig) -> List[tuple]:
+    """``(plc name, topology, physical, protocol)`` for each PLC of a
+    site, in cable order."""
+    rtus: List[tuple] = []
+    if config.physical_scenario == "redteam":
+        rtus.append(("plc-physical", redteam_topology(), True, "modbus"))
+    elif config.physical_scenario == "plant":
+        rtus.append(("plc-physical", plant_topology(), True, "modbus"))
+    for index, topo in enumerate(
+            distribution_scenario(config.n_distribution_plcs), start=1):
+        rtus.append((f"plc-dist-{index}", topo, False, "modbus"))
+    for index, topo in enumerate(
+            generation_scenario(config.n_generation_plcs), start=1):
+        rtus.append((f"plc-gen-{index}", topo, False,
+                     config.generation_protocol))
+    return rtus
 
 
 def build_spire(sim, config: Optional[SpireConfig] = None) -> SpireSystem:
@@ -201,134 +174,35 @@ def build_spire(sim, config: Optional[SpireConfig] = None) -> SpireSystem:
     if config is None:
         raise TypeError("build_spire requires a SpireConfig")
     system = SpireSystem(sim, config)
-    prime_config = build_config(f=config.f, k=config.k, timing=config.timing)
-    system.prime_config = prime_config
+    prime_config = system.prime_config
+    rtus = _site_rtus(config)
+    system.wire_networks(
+        config.external_cidr,
+        external_ports=prime_config.n + config.n_hmis + len(rtus) + 8,
+        internal_cidr=config.internal_cidr)
 
-    # --- networks ------------------------------------------------------
-    ports_needed = prime_config.n + config.n_hmis + 8 + (
-        1 + config.n_distribution_plcs + config.n_generation_plcs)
-    system.internal_lan = Lan(sim, f"{config.name}-internal",
-                              config.internal_cidr, ports=prime_config.n + 2)
-    system.external_lan = Lan(sim, f"{config.name}-external",
-                              config.external_cidr, ports=ports_needed)
-    system.internal = SpinesNetwork(sim, f"{config.name}.int",
-                                    system.internal_lan, system.keystore,
-                                    port=8100)
-    system.external = SpinesNetwork(sim, f"{config.name}.ext",
-                                    system.external_lan, system.keystore,
-                                    port=8120)
+    system.masters = system.wire_masters()
+    system.compile_variants(strip_symbols=config.strip_symbols,
+                            compile_in_options=config.compile_in_options)
 
-    # --- replicas ------------------------------------------------------
-    for name in prime_config.replica_names:
-        host = Host(sim, f"{config.name}.{name}",
-                    os_profile=centos_minimal_latest(),
-                    firewall=locked_down_firewall())
-        system.replica_hosts[name] = host
-        system.internal_lan.connect(host)
-        system.external_lan.connect(host)
-        internal_daemon = system.internal.add_daemon(host, f"int.{name}")
-        external_daemon = system.external.add_daemon(host, f"ext.{name}")
-        system.keystore.create_signing(name)
-        host.key_ring.install_signing(name, system.keystore.signing(name))
-        master = ScadaMaster(name)
-        replica = PrimeReplica(sim, name, prime_config, internal_daemon,
-                               external_daemon, master)
-        master.bind(replica)
-        system.masters[name] = master
-        system.replicas[name] = replica
-        system.variants[name] = {
-            program: system.compiler.compile(
-                program, strip_symbols=config.strip_symbols,
-                compile_in_options=config.compile_in_options)
-            for program in ("scada-master", "spines")}
-    system.internal.connect_full_mesh()
-
-    # --- PLCs and proxies ----------------------------------------------
-    topologies: List[tuple] = []
-    if config.physical_scenario == "redteam":
-        topologies.append(("plc-physical", redteam_topology(), True, "modbus"))
-    elif config.physical_scenario == "plant":
-        topologies.append(("plc-physical", plant_topology(), True, "modbus"))
-    for index, topo in enumerate(
-            distribution_scenario(config.n_distribution_plcs), start=1):
-        topologies.append((f"plc-dist-{index}", topo, False, "modbus"))
-    for index, topo in enumerate(
-            generation_scenario(config.n_generation_plcs), start=1):
-        topologies.append((f"plc-gen-{index}", topo, False,
-                           config.generation_protocol))
-
-    for cable_index, (plc_name, topo, physical, protocol) in enumerate(
-            topologies):
-        proxy_host = Host(sim, f"{config.name}.proxy.{plc_name}",
-                          os_profile=centos_minimal_latest(),
-                          firewall=locked_down_firewall())
-        system.external_lan.connect(proxy_host)
-        proxy_daemon = system.external.add_daemon(proxy_host,
-                                                  f"ext.proxy.{plc_name}")
-        plc_host = Host(sim, f"{config.name}.{plc_name}")
-        wire_direct(sim, proxy_host, plc_host,
-                    f"10.77.{cable_index}.0/30")
-        if protocol == "dnp3":
-            from repro.plc.dnp3 import Dnp3Outstation
-            from repro.scada.dnp3_proxy import Dnp3PlcProxy
-            device = Dnp3Outstation(sim, plc_name, plc_host, topo)
-        else:
-            device = PlcDevice(sim, plc_name, plc_host, topo,
-                               physical=physical)
-        # The proxy's default-deny firewall must allow exactly the
-        # field-protocol conversation on the direct cable (Section
-        # III-B: "other than the specific IP address and port
-        # combinations used by our protocols").
-        plc_ip = plc_host.interfaces[-1].ip
-        from repro.net.firewall import INBOUND, OUTBOUND
-        proxy_host.firewall.allow(OUTBOUND, "tcp", remote_ip=plc_ip,
-                                  remote_port=device.port)
-        proxy_host.firewall.allow(INBOUND, "tcp", remote_ip=plc_ip,
-                                  remote_port=device.port)
-        proxy_name = f"proxy-{plc_name}"
-        system.keystore.create_signing(proxy_name)
-        proxy_host.key_ring.install_signing(
-            proxy_name, system.keystore.signing(proxy_name))
-        if protocol == "dnp3":
-            proxy = Dnp3PlcProxy(sim, proxy_name, proxy_host, proxy_daemon,
-                                 prime_config,
-                                 poll_interval=max(config.poll_interval, 1.0),
-                                 heartbeat_interval=config.heartbeat_interval)
-            proxy.attach_outstation(device, plc_ip)
-        else:
-            proxy = PlcProxy(sim, proxy_name, proxy_host, proxy_daemon,
-                             prime_config,
-                             poll_interval=config.poll_interval,
-                             heartbeat_interval=config.heartbeat_interval)
-            proxy.attach_plc(device, plc_ip)
+    # One proxy per PLC, each on its own direct cable.
+    for cable_index, (plc_name, topo, physical, protocol) in enumerate(rtus):
+        proxy, units = system.wire_proxy(
+            plc_name, [(plc_name, topo, physical)], protocol,
+            config.poll_interval, config.heartbeat_interval, cable_index)
         system.proxies.append(proxy)
-        system.plcs[plc_name] = PlcUnit(device=device, host=plc_host,
-                                        topology=topo, proxy=proxy,
-                                        physical=physical)
+        system.plcs.update(units)
 
-    # --- HMIs ------------------------------------------------------------
     for index in range(1, config.n_hmis + 1):
         hmi_name = f"hmi-{index}"
-        hmi_host = Host(sim, f"{config.name}.{hmi_name}",
-                        os_profile=centos_minimal_latest(),
-                        firewall=locked_down_firewall())
-        system.external_lan.connect(hmi_host)
-        hmi_daemon = system.external.add_daemon(hmi_host, f"ext.{hmi_name}")
-        system.keystore.create_signing(hmi_name)
-        hmi_host.key_ring.install_signing(hmi_name,
-                                          system.keystore.signing(hmi_name))
-        system.hmis.append(Hmi(sim, hmi_name, hmi_host, hmi_daemon,
+        daemon = system.wire_client_host(hmi_name, principal=hmi_name)
+        system.hmis.append(Hmi(sim, hmi_name, daemon.host, daemon,
                                prime_config))
 
-    # --- historian -------------------------------------------------------
     if config.with_historian:
-        hist_host = Host(sim, f"{config.name}.historian",
-                         os_profile=centos_minimal_latest(),
-                         firewall=locked_down_firewall())
-        system.external_lan.connect(hist_host)
-        hist_daemon = system.external.add_daemon(hist_host, "ext.historian")
-        system.historian = Historian(sim, "historian", hist_host,
-                                     hist_daemon, prime_config)
+        daemon = system.wire_client_host("historian")
+        system.historian = Historian(sim, "historian", daemon.host, daemon,
+                                     prime_config)
 
     # Sparse overlay once membership grows (deployed Spines overlays are
     # sparse; flooding cost scales with edge count).
@@ -337,10 +211,8 @@ def build_spire(sim, config: Optional[SpireConfig] = None) -> SpireSystem:
     else:
         system.external.connect_full_mesh()
 
-    # --- Section III-B hardening ----------------------------------------
     if config.harden_networks:
-        system.internal_lan.harden()
-        system.external_lan.harden()
+        system.harden()
 
     # --- optional threshold-signed directives -----------------------------
     if config.use_threshold_directives:
@@ -356,17 +228,6 @@ def build_spire(sim, config: Optional[SpireConfig] = None) -> SpireSystem:
             if hasattr(proxy, "threshold_scheme"):   # Modbus proxy path
                 proxy.threshold_scheme = scheme
 
-    # --- registrations (first ordered updates) ---------------------------
-    def register_all():
-        for proxy in system.proxies:
-            proxy.register_with_masters()
-        for hmi in system.hmis:
-            hmi.subscribe()
-        if system.historian is not None:
-            # The historian consumes the same feed as an HMI.
-            from repro.scada.events import register_hmi_op
-            system.hmis[0].client.submit(
-                register_hmi_op(system.historian.feed_addr))
-
-    sim.schedule(0.05, register_all)
+    system.schedule_registration(system.proxies, system.hmis,
+                                 system.historian)
     return system

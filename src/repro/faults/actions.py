@@ -345,9 +345,10 @@ class FaultContext:
     """Resolved view of the system under test, shared by every armed
     action and by the invariant monitors.
 
-    Works against anything exposing the cluster shape — the library's
-    :class:`~repro.faults.harness.ChaosHarness`, the test fixtures'
-    ``Cluster``, or a full :class:`~repro.core.spire.SpireSystem`.
+    Works against the cluster shape a
+    :class:`~repro.core.wiring.Deployment` holds — every world the
+    library builds is one — or anything duck-typing it (the test
+    fixtures' ``Cluster``).
     """
 
     def __init__(self, sim, target, guard: BudgetGuard, rng):

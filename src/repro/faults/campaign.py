@@ -168,8 +168,8 @@ def _plan_horizon(plan: FaultPlan) -> float:
 @dataclass
 class _CellWorld:
     """Everything a campaign cell builds *before* its fault plan arms:
-    the world (chaos harness or grid deployment), its flight recorder,
-    the monitor suite, and the workload bookkeeping.
+    the world (chaos harness or grid deployment), its flight recorder
+    and the monitor suite.
 
     The bundle pickles as one graph rooted at ``.sim``, which makes it
     a ``save_world_bytes`` payload: the warm cache serializes a cell at
@@ -183,8 +183,6 @@ class _CellWorld:
     world: Any
     recorder: FlightRecorder
     suite: MonitorSuite
-    kind: str = "harness"            # "harness" | "grid"
-    planned_commands: int = 0        # grid workload size (run-dict field)
     mana: Optional[Dict[str, Any]] = None    # network -> live ManaInstance
 
     @property
@@ -195,11 +193,9 @@ class _CellWorld:
 def _attach_mana(sim, world, arm_at: float) -> Dict[str, Any]:
     """Tap both of the world's LANs and stand up one passive
     :class:`~repro.mana.detector.ManaInstance` per network (the paper
-    runs one instance per monitored network).  Both the chaos harness
-    and grid worlds — site or federated — expose ``internal_lan`` /
-    ``external_lan``, so attachment is uniform across cell kinds.
-    Must run at t=0: the captures feed on the fault-free prefix that
-    :func:`_train_mana` turns into the baseline."""
+    runs one instance per monitored network).  Must run at t=0: the
+    captures feed on the fault-free prefix that :func:`_train_mana`
+    turns into the baseline."""
     from repro.mana import ManaInstance
     from repro.net.tap import Capture
 
@@ -238,50 +234,33 @@ def _train_mana(cell: "_CellWorld", arm_at: float) -> None:
         del cell.mana[network]
 
 
-def _build_harness_cell(seed: int, f: int, k: int, harness: Dict[str, Any],
-                        run_for: float, arm_at: float,
-                        mana: bool = False) -> _CellWorld:
-    """Cold-build one chaos-harness cell and run it to ``arm_at``."""
-    sim = Simulator(seed=seed)
+def _build_cell(grid: Optional[dict], seed: int, f: int, k: int,
+                harness: Dict[str, Any], run_for: float, arm_at: float,
+                mana: bool = False) -> _CellWorld:
+    """Cold-build one cell — the chaos harness, or the deployment the
+    :class:`~repro.grid.GridSpec` dict ``grid`` describes — and run it
+    to ``arm_at``.  Every world is a
+    :class:`~repro.core.wiring.Deployment` that sizes its own campaign
+    workload, so the two differ only in how they are constructed."""
+    if grid is None:
+        sim = Simulator(seed=seed)
+    else:
+        from repro.grid import GridSpec, build_world
+
+        spec = GridSpec.from_dict(grid)
+        sim = Simulator(seed=seed, telemetry=spec.telemetry)
     recorder = FlightRecorder(sim, name="chaos-recorder", **_CELL_RECORDER)
-    world = ChaosHarness(sim, f=f, k=k, **harness)
+    world = (ChaosHarness(sim, f=f, k=k, **harness) if grid is None
+             else build_world(spec, sim=sim))
     suite = MonitorSuite(sim, world)
     for client in world.clients:
         suite.watch_client(client)
     suite.start()
-    workload_span = max(run_for - 4.0, 2.0)
-    updates = max(int(workload_span / 0.3), 8)
-    world.start_workload(updates=updates, start=0.2, interval=0.3)
-    cell = _CellWorld(world=world, recorder=recorder, suite=suite)
-    if mana:
-        cell.mana = _attach_mana(sim, world, arm_at)
-    if arm_at > 0.0:
-        sim.run(until=arm_at)
-    _train_mana(cell, arm_at)
-    return cell
-
-
-def _build_grid_cell(grid: dict, seed: int, harness: Dict[str, Any],
-                     run_for: float, arm_at: float,
-                     mana: bool = False) -> _CellWorld:
-    """Cold-build one GridSpec-deployment cell and run it to
-    ``arm_at``."""
-    from repro.grid import GridSpec, build_world
-
-    spec = GridSpec.from_dict(grid)
-    sim = Simulator(seed=seed, telemetry=spec.telemetry)
-    recorder = FlightRecorder(sim, name="chaos-recorder", **_CELL_RECORDER)
-    world = build_world(spec, sim=sim)
-    suite = MonitorSuite(sim, world)
-    for client in world.clients:
-        suite.watch_client(client)
-    suite.start()
-    if harness.get("with_recovery"):
+    if grid is not None and harness.get("with_recovery"):
+        # The harness starts its scheduler itself (a constructor option).
         world.start_proactive_recovery(period=6.0, downtime=0.8)
-    commands = max(int((run_for - 4.0) / 0.6), 6)
-    world.start_workload(commands=commands, start=0.3, interval=0.6)
-    cell = _CellWorld(world=world, recorder=recorder, suite=suite,
-                      kind="grid", planned_commands=commands)
+    world.start_campaign_workload(run_for)
+    cell = _CellWorld(world=world, recorder=recorder, suite=suite)
     if mana:
         cell.mana = _attach_mana(sim, world, arm_at)
     if arm_at > 0.0:
@@ -300,13 +279,8 @@ def _warm_image(grid: Optional[dict] = None, seed: int = 1, f: int = 1,
     scorecard state participates in the warm-start snapshot."""
     from repro.snapshot import save_world_bytes
 
-    harness = harness or {}
-    if grid is not None:
-        cell = _build_grid_cell(grid, seed, harness, run_for, arm_at,
-                                mana=mana)
-    else:
-        cell = _build_harness_cell(seed, f, k, harness, run_for, arm_at,
-                                   mana=mana)
+    cell = _build_cell(grid, seed, f, k, harness or {}, run_for, arm_at,
+                       mana=mana)
     return save_world_bytes(cell, meta={"warm_key": warm_key})
 
 
@@ -340,25 +314,14 @@ def _restore_warm_cell(warm_key: Optional[str],
 
 def _finish_run(cell: _CellWorld, scenario: Scenario, seed: int, armed,
                 _with_state: bool):
-    """Assemble the per-run report dict — one helper shared by the
-    harness and grid paths (histogram summary, violations,
-    passed/expect logic, dumps)."""
+    """Assemble the per-run report dict (histogram summary,
+    violations, passed/expect logic, the world's own workload summary,
+    dumps)."""
     histogram = cell.sim.metrics.merged_histogram("prime.confirm_latency")
     latency = histogram.summary()
     violations = [v.snapshot() for v in cell.suite.violations]
     detected = bool(violations)
     passed = detected if scenario.expect == EXPECT_VIOLATION else not detected
-    if cell.kind == "grid":
-        workload = {
-            "submitted": cell.planned_commands,
-            "confirmed": sum(len(hmi.client.confirmed)
-                             for hmi in cell.world.hmis),
-        }
-    else:
-        workload = {
-            "submitted": len(cell.world.submitted),
-            "confirmed": cell.world.confirmed_count(),
-        }
     run = {
         "scenario": scenario.name,
         "seed": seed,
@@ -366,14 +329,13 @@ def _finish_run(cell: _CellWorld, scenario: Scenario, seed: int, armed,
         "passed": passed,
         "violations": violations,
         "faults": armed.summary(),
-        "workload": workload,
+        # The world's own share: "workload", and a grid world's "grid".
+        **cell.world.campaign_summary(),
         "confirm_latency": {
             key: latency.get(key) for key in
             ("samples", "mean", "p50", "p90", "p99")
         },
     }
-    if cell.kind == "grid":
-        run["grid"] = cell.world.grid_summary()
     if cell.mana:
         from repro.mana.scoring import score_run
 
@@ -408,6 +370,27 @@ def _finish_run(cell: _CellWorld, scenario: Scenario, seed: int, armed,
     return run
 
 
+def _run_cell(grid: Optional[dict], scenario: Scenario, seed: int, f: int,
+              k: int, duration: Optional[float], _with_state: bool,
+              arm_at: Optional[float], warm_key: Optional[str], mana: bool):
+    """One scenario, one seed, one world: restore or build, arm, run,
+    report — the body of :func:`run_scenario` and
+    :func:`run_grid_scenario`."""
+    run_for = duration if duration is not None else scenario.duration
+    plan = scenario.build(f, k)
+    if arm_at is None:
+        arm_at = _plan_horizon(plan)
+    arm_at = max(0.0, min(arm_at, run_for))
+    cell = _restore_warm_cell(warm_key, arm_at)
+    if cell is None:
+        cell = _build_cell(grid, seed, f, k, dict(scenario.harness),
+                           run_for, arm_at, mana=mana)
+    armed = plan.arm(cell.sim, cell.world)
+    cell.suite.armed = armed
+    cell.sim.run(until=run_for)
+    return _finish_run(cell, scenario, seed, armed, _with_state)
+
+
 def run_scenario(scenario: Scenario, seed: int, f: int = 1, k: int = 1,
                  duration: Optional[float] = None,
                  _with_state: bool = False,
@@ -430,19 +413,8 @@ def run_scenario(scenario: Scenario, seed: int, f: int = 1, k: int = 1,
     raw confirm-latency histogram state, so a sweep can merge exact
     pooled quantiles instead of averaging per-run summaries.
     """
-    run_for = duration if duration is not None else scenario.duration
-    plan = scenario.build(f, k)
-    if arm_at is None:
-        arm_at = _plan_horizon(plan)
-    arm_at = max(0.0, min(arm_at, run_for))
-    cell = _restore_warm_cell(warm_key, arm_at)
-    if cell is None:
-        cell = _build_harness_cell(seed, f, k, dict(scenario.harness),
-                                   run_for, arm_at, mana=mana)
-    armed = plan.arm(cell.sim, cell.world)
-    cell.suite.armed = armed
-    cell.sim.run(until=run_for)
-    return _finish_run(cell, scenario, seed, armed, _with_state)
+    return _run_cell(None, scenario, seed, f, k, duration, _with_state,
+                     arm_at, warm_key, mana)
 
 
 def run_grid_scenario(grid: dict, scenario: Scenario, seed: int,
@@ -455,28 +427,17 @@ def run_grid_scenario(grid: dict, scenario: Scenario, seed: int,
     deployment instead of the chaos harness.
 
     ``grid`` is the spec's dict form (``spec.to_dict()`` — picklable
-    for the sweep).  The run dict matches :func:`run_scenario` plus a
-    ``"grid"`` key with the physics/population summary, so grid
-    campaigns flow through the same merge, report, and digest paths —
-    including the same fixed operation order and ``arm_at``/``warm_key``
-    warm-start contract.
+    for the sweep); ``f`` and ``k`` come from the spec.  The run dict
+    matches :func:`run_scenario` plus a ``"grid"`` key with the
+    physics/population summary; everything else — operation order,
+    ``arm_at``/``warm_key`` warm-start contract, merge, report and
+    digest — is the same path.
     """
     from repro.grid import GridSpec
 
     spec = GridSpec.from_dict(grid)
-    run_for = duration if duration is not None else scenario.duration
-    plan = scenario.build(spec.f, spec.k)
-    if arm_at is None:
-        arm_at = _plan_horizon(plan)
-    arm_at = max(0.0, min(arm_at, run_for))
-    cell = _restore_warm_cell(warm_key, arm_at)
-    if cell is None:
-        cell = _build_grid_cell(grid, seed, dict(scenario.harness),
-                                run_for, arm_at, mana=mana)
-    armed = plan.arm(cell.sim, cell.world)
-    cell.suite.armed = armed
-    cell.sim.run(until=run_for)
-    return _finish_run(cell, scenario, seed, armed, _with_state)
+    return _run_cell(grid, scenario, seed, spec.f, spec.k, duration,
+                     _with_state, arm_at, warm_key, mana)
 
 
 def _campaign_cell(name: Optional[str] = None,
@@ -492,7 +453,8 @@ def _campaign_cell(name: Optional[str] = None,
     Built-in scenarios travel by name (spawn-safe); user-registered
     scenarios travel as pickled :class:`Scenario` objects.  With
     ``grid`` (a :class:`~repro.grid.GridSpec` dict) the cell runs
-    against that deployment instead of the harness.  ``arm_at`` pins
+    against that deployment instead of the harness (``f``/``k`` are
+    then the spec's — :func:`run_campaign` sets them).  ``arm_at`` pins
     the cell's fault horizon to its warm group's; ``warm_key`` names
     the group's image in the active warm cache (inherited
     copy-on-write by forked workers).  Returns the run dict plus the
@@ -501,13 +463,8 @@ def _campaign_cell(name: Optional[str] = None,
     """
     if scenario is None:
         scenario = BUILTIN_SCENARIOS[name]
-    if grid is not None:
-        return run_grid_scenario(grid, scenario, seed, duration=duration,
-                                 _with_state=True, arm_at=arm_at,
-                                 warm_key=warm_key, mana=mana)
-    return run_scenario(scenario, seed, f=f, k=k, duration=duration,
-                        _with_state=True, arm_at=arm_at, warm_key=warm_key,
-                        mana=mana)
+    return _run_cell(grid, scenario, seed, f, k, duration, True, arm_at,
+                     warm_key, mana)
 
 
 def _failed_cell_run(scenario: Scenario, seed: int, error: str) -> dict:

@@ -1,11 +1,10 @@
 """Self-contained system under test for resilience campaigns.
 
-Builds the Fig. 2 two-network layout — ``3f + 2k + 1`` replicas
-dual-homed on an isolated internal LAN (replication) and an external
-LAN (clients) — around a deterministic replicated key-value app, plus
-clients and a seeded workload generator.  This is the library twin of
-the test fixtures' cluster, shaped to satisfy
-:class:`~repro.faults.actions.FaultContext`: scenarios arm a
+A layout over :mod:`repro.core.wiring`: the Fig. 2 replica core —
+``3f + 2k + 1`` replicas dual-homed on an isolated internal LAN
+(replication) and an external LAN (clients) — around a deterministic
+replicated key-value app instead of a SCADA master, plus clients and a
+seeded workload generator.  Scenarios arm a
 :class:`~repro.faults.plan.FaultPlan` against it and a
 :class:`~repro.faults.monitors.MonitorSuite` watches the invariants.
 """
@@ -14,16 +13,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.crypto.keys import KeyStore
-from repro.diversity.multicompiler import MultiCompiler
-from repro.diversity.recovery import ProactiveRecoveryScheduler, RecoveryTarget
-from repro.net.firewall import locked_down_firewall
-from repro.net.host import Host
-from repro.net.lan import Lan
+from repro.core.wiring import Deployment
 from repro.prime.client import PrimeClient
 from repro.prime.config import PrimeConfig, PrimeTiming, build_config
-from repro.prime.replica import PrimeReplica
-from repro.spines.overlay import SpinesNetwork
 
 
 class _ResultsSink:
@@ -68,7 +60,7 @@ class ReplayApp:
         self.transfer_signals.append(outcome)
 
 
-class ChaosHarness:
+class ChaosHarness(Deployment):
     """A miniature Spire-style deployment for fault campaigns.
 
     Args:
@@ -85,39 +77,17 @@ class ChaosHarness:
                  with_recovery: bool = False, recovery_period: float = 6.0,
                  recovery_downtime: float = 0.8,
                  timing: Optional[PrimeTiming] = None):
-        self.sim = sim
-        self.config: PrimeConfig = build_config(f=f, k=k, timing=timing)
-        self.prime_config = self.config
-        self.keystore = KeyStore(sim.rng.child("chaos/keys"))
-        self.internal_lan = Lan(sim, "chaos-internal", "192.168.111.0/24")
-        self.external_lan = Lan(sim, "chaos-external", "192.168.112.0/24")
-        self.internal = SpinesNetwork(sim, "chaos.int", self.internal_lan,
-                                      self.keystore, port=8100)
-        self.external = SpinesNetwork(sim, "chaos.ext", self.external_lan,
-                                      self.keystore, port=8120)
-        self.replicas: Dict[str, PrimeReplica] = {}
-        self.apps: Dict[str, ReplayApp] = {}
-        self.replica_hosts: Dict[str, Host] = {}
+        super().__init__(sim, "chaos", build_config(f=f, k=k, timing=timing))
+        self.config: PrimeConfig = self.prime_config
         self.clients: List[PrimeClient] = []
         self.results: Dict[str, list] = {}
         self.submitted: List[Tuple[str, int]] = []
-        self.recovery: Optional[ProactiveRecoveryScheduler] = None
 
-        for name in self.config.replica_names:
-            host = Host(sim, name, firewall=locked_down_firewall())
-            self.replica_hosts[name] = host
-            self.internal_lan.connect(host)
-            self.external_lan.connect(host)
-            internal_daemon = self.internal.add_daemon(host, f"int.{name}")
-            external_daemon = self.external.add_daemon(host, f"ext.{name}")
-            app = ReplayApp()
-            self.apps[name] = app
-            self.keystore.create_signing(name)
-            host.key_ring.install_signing(name, self.keystore.signing(name))
-            self.replicas[name] = PrimeReplica(
-                sim, name, self.config, internal_daemon, external_daemon, app)
-        self.internal.connect_full_mesh()
-
+        self.wire_networks("192.168.112.0/24", external_ports=16,
+                           internal_cidr="192.168.111.0/24")
+        # Harness hosts carry bare names (the event digests name them).
+        self.apps: Dict[str, ReplayApp] = self.wire_replicas(
+            lambda name: ReplayApp(), host_name_of=str)
         for index in range(n_clients):
             self.add_client(f"chaos-client-{index + 1}", port=7601 + index)
         self.external.connect_full_mesh()
@@ -128,13 +98,8 @@ class ChaosHarness:
 
     # ------------------------------------------------------------------
     def add_client(self, client_id: str, port: int) -> PrimeClient:
-        host = Host(self.sim, f"{client_id}-host",
-                    firewall=locked_down_firewall())
-        self.external_lan.connect(host)
-        daemon = self.external.add_daemon(host, f"ext.{client_id}")
-        self.keystore.create_signing(client_id)
-        host.key_ring.install_signing(client_id,
-                                      self.keystore.signing(client_id))
+        daemon = self.wire_client_host(client_id, principal=client_id,
+                                       host_name=f"{client_id}-host")
         results: list = []
         self.results[client_id] = results
         client = PrimeClient(
@@ -142,22 +107,6 @@ class ChaosHarness:
             on_result=_ResultsSink(results))
         self.clients.append(client)
         return client
-
-    def start_recovery(self, period: float = 6.0,
-                       downtime: float = 0.8) -> ProactiveRecoveryScheduler:
-        compiler = MultiCompiler(self.sim.rng.child("chaos/mc"))
-        targets = []
-        for name, replica in self.replicas.items():
-            host = self.replica_hosts[name]
-            daemons = [self.internal.daemon_on(host),
-                       self.external.daemon_on(host)]
-            targets.append(RecoveryTarget(name=name, host=host,
-                                          replica=replica, daemons=daemons))
-        self.recovery = ProactiveRecoveryScheduler(
-            self.sim, compiler, targets, period=period, downtime=downtime,
-            k=self.config.k)
-        self.recovery.start()
-        return self.recovery
 
     # ------------------------------------------------------------------
     def start_workload(self, updates: int = 30, start: float = 0.2,
@@ -175,6 +124,20 @@ class ChaosHarness:
             return
         seq = client.submit({"set": (f"k{index}", index)})
         self.submitted.append((client.client_id, seq))
+
+    # ------------------------------------------------------------------
+    # Campaign cells (repro.faults.campaign)
+    # ------------------------------------------------------------------
+    def start_campaign_workload(self, run_for: float) -> None:
+        """One update every 0.3 s until 4 s before the end of a
+        ``run_for``-second cell (at least eight)."""
+        updates = max(int(max(run_for - 4.0, 2.0) / 0.3), 8)
+        self.start_workload(updates=updates, start=0.2, interval=0.3)
+
+    def campaign_summary(self) -> dict:
+        """This world's share of a campaign run dict."""
+        return {"workload": {"submitted": len(self.submitted),
+                             "confirmed": self.confirmed_count()}}
 
     # ------------------------------------------------------------------
     def confirmed_count(self) -> int:

@@ -234,17 +234,16 @@ class GridSpec:
     def single_site(cls, site: str, **overrides) -> "GridSpec":
         """A single-site spec wrapping one of the paper's deployments.
 
-        ``overrides`` are :class:`SpireConfig` fields, exactly as the
-        deprecated ``plant_config(...)`` / ``redteam_config(...)``
-        constructors accepted them.
+        ``overrides`` are :class:`SpireConfig` fields
+        (``n_distribution_plcs=3``, ``seed=7``, ``telemetry=False``,
+        ...); a name that is not one raises :class:`GridSpecError`.
         """
         return cls(name=f"single-{site}", site=site,
                    site_overrides=dict(overrides))
 
     @classmethod
     def single_plant(cls, **overrides) -> "GridSpec":
-        """The Section V plant deployment as a :class:`GridSpec` — the
-        single-site special case the legacy ``plant_config()`` becomes."""
+        """The Section V plant deployment as a :class:`GridSpec`."""
         return cls.single_site("plant", **overrides)
 
     def spire_config(self) -> SpireConfig:

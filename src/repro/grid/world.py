@@ -1,15 +1,13 @@
 """``build_world``: turn a :class:`~repro.grid.spec.GridSpec` into a
 live simulation.
 
-Two forms, one return type:
+Two layouts over :mod:`repro.core.wiring`, one return type:
 
 * **single-site specs** delegate to :func:`~repro.core.spire.build_spire`
-  — the legacy hand-wired path, so a ``GridSpec.single_plant()`` run is
-  behavior-identical to ``build_spire(plant_config())`` (the attached
-  physics layer is RNG-free and only adds its own timer events, which
-  cannot reorder any other event) — and wrap the resulting
+  (the attached physics layer is RNG-free and only adds its own timer
+  events, which cannot reorder any other event) and wrap the resulting
   :class:`~repro.core.spire.SpireSystem` as a one-substation world.
-* **federated specs** wire a shared ``3f + 2k + 1`` replica core, one
+* **federated specs** lay out a shared ``3f + 2k + 1`` replica core, one
   proxy per substation serving its whole RTU population over direct
   cables, a region-structured external Spines overlay, aggregate client
   populations, and the physics coupling layer.
@@ -27,12 +25,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.spire import build_spire
+from repro.core.wiring import Deployment
 from repro.grid.physics import GridPhysics
 from repro.grid.spec import GridSpec, GridSpecError, SubstationSpec
+from repro.plc.topology import PowerTopology
+from repro.prime.client import PrimeClient
+from repro.prime.config import build_config
+from repro.scada.hmi import Hmi
 
 # Direct PLC-proxy cables draw from 10.77.<index>.0/30; the third octet
 # bounds the total RTU count a spec may wire.
 MAX_CABLES = 250
+
+INTERNAL_CIDR = "192.168.121.0/24"
+EXTERNAL_CIDR = "192.168.122.0/24"
+POPULATION_START = 0.5
 
 
 @dataclass
@@ -133,7 +141,7 @@ def _poisson(rng, lam: float) -> int:
     return count
 
 
-class GridWorld:
+class GridWorld(Deployment):
     """A built grid: the fault-injection/monitoring target for
     multi-substation campaigns.
 
@@ -141,28 +149,18 @@ class GridWorld:
     """
 
     def __init__(self, sim, spec: GridSpec):
-        self.sim = sim
+        super().__init__(sim, spec.name, build_config(f=spec.f, k=spec.k))
         self.spec = spec
         self.system = None                   # SpireSystem for site specs
-        self.prime_config = None
-        self.internal_lan = None
-        self.external_lan = None
-        self.internal = None
-        self.external = None
-        self.replica_hosts: Dict[str, object] = {}
-        self.replicas: Dict[str, object] = {}
         self.masters: Dict[str, object] = {}
         self.substations: Dict[str, Substation] = {}
         self.proxies: List[object] = []
         self.hmis: List[object] = []
         self.populations: List[ClientPopulation] = []
         self.clients: List[object] = []      # every Prime client principal
-        self.variants: Dict[str, Dict[str, object]] = {}
-        self.recovery = None
         self.physics: Optional[GridPhysics] = None
         self.plc_to_substation: Dict[str, str] = {}
-        self.keystore = None
-        self.compiler = None
+        self.campaign_commands = 0           # planned by a campaign cell
 
     # ------------------------------------------------------------------
     def run(self, until: float) -> float:
@@ -222,31 +220,32 @@ class GridWorld:
     def start_proactive_recovery(self, period: float = 6.0,
                                  downtime: float = 0.8):
         """Begin periodic replica rejuvenation (requires ``k >= 1``)."""
+        self.require_recovery_budget()
+        recovery = self.start_recovery(period=period, downtime=downtime)
         if self.system is not None:
-            self.system.config.proactive_recovery_period = period
-            self.system.config.proactive_recovery_downtime = downtime
-            self.recovery = self.system.start_proactive_recovery()
-            return self.recovery
-        if self.spec.k < 1:
-            raise RuntimeError(
-                f"{self.spec.name}: k={self.spec.k} does not support "
-                "proactive recovery with bounded delay")
-        from repro.diversity.recovery import (
-            ProactiveRecoveryScheduler, RecoveryTarget,
-        )
-        targets = []
-        for name, replica in self.replicas.items():
-            host = self.replica_hosts[name]
-            daemons = [self.internal.daemon_on(host),
-                       self.external.daemon_on(host)]
-            targets.append(RecoveryTarget(name=name, host=host,
-                                          replica=replica, daemons=daemons,
-                                          variants=self.variants[name]))
-        self.recovery = ProactiveRecoveryScheduler(
-            self.sim, self.compiler, targets, period=period,
-            downtime=downtime, k=self.spec.k)
-        self.recovery.start()
-        return self.recovery
+            self.system.recovery = recovery
+        return recovery
+
+    # ------------------------------------------------------------------
+    # Campaign cells (repro.faults.campaign)
+    # ------------------------------------------------------------------
+    def start_campaign_workload(self, run_for: float) -> None:
+        """One supervisory command every 0.6 s until 4 s before the end
+        of a ``run_for``-second cell (at least six)."""
+        self.campaign_commands = max(int((run_for - 4.0) / 0.6), 6)
+        self.start_workload(commands=self.campaign_commands, start=0.3,
+                            interval=0.6)
+
+    def campaign_summary(self) -> dict:
+        """This world's share of a campaign run dict."""
+        return {
+            "workload": {
+                "submitted": self.campaign_commands,
+                "confirmed": sum(len(hmi.client.confirmed)
+                                 for hmi in self.hmis),
+            },
+            "grid": self.grid_summary(),
+        }
 
     def status(self) -> dict:
         return {
@@ -299,58 +298,28 @@ def build_world(spec: GridSpec, sim=None, seed: Optional[int] = None) -> GridWor
 
 
 def _build_site_world(sim, spec: GridSpec) -> GridWorld:
-    from repro.core.spire import build_spire
-
     system = build_spire(sim, spec.spire_config())
     world = GridWorld(sim, spec)
+    world.adopt(system)
     world.system = system
-    world.prime_config = system.prime_config
-    world.internal_lan = system.internal_lan
-    world.external_lan = system.external_lan
-    world.internal = system.internal
-    world.external = system.external
-    world.replica_hosts = system.replica_hosts
-    world.replicas = system.replicas
     world.masters = system.masters
     world.proxies = list(system.proxies)
     world.hmis = list(system.hmis)
-    world.variants = system.variants
-    world.keystore = system.keystore
-    world.compiler = system.compiler
     # The whole site is one pseudo-substation; rate it from its
     # topology shapes (see GridPhysics._resolve_ratings).
-    world.substations[system.config.name] = Substation(
-        name=system.config.name, region="core",
-        proxies=list(system.proxies), units=dict(system.plcs),
-        load_mw=0.0, generation_mw=0.0)
-    world.plc_to_substation = {plc: system.config.name
-                               for plc in system.plcs}
+    site = system.config.name
+    world.substations[site] = Substation(
+        name=site, region="core", proxies=list(system.proxies),
+        units=dict(system.plcs), load_mw=0.0, generation_mw=0.0)
+    world.plc_to_substation = {plc: site for plc in system.plcs}
     world.clients = [proxy.client for proxy in system.proxies] \
         + [hmi.client for hmi in system.hmis]
     world.physics = GridPhysics(sim, spec, {
-        system.config.name: [unit.topology
-                             for unit in system.plcs.values()]})
+        site: [unit.topology for unit in system.plcs.values()]})
     return world
 
 
 def _build_federated_world(sim, spec: GridSpec) -> GridWorld:
-    from repro.crypto.keys import KeyStore
-    from repro.diversity.multicompiler import MultiCompiler
-    from repro.net.firewall import INBOUND, OUTBOUND, locked_down_firewall
-    from repro.net.host import Host
-    from repro.net.lan import Lan
-    from repro.net.osprofile import centos_minimal_latest
-    from repro.core.spire import PlcUnit
-    from repro.plc.device import PlcDevice
-    from repro.plc.topology import PowerTopology
-    from repro.prime.client import PrimeClient
-    from repro.prime.config import build_config
-    from repro.prime.replica import PrimeReplica
-    from repro.scada.hmi import Hmi
-    from repro.scada.master import ScadaMaster
-    from repro.scada.proxy import PlcProxy, wire_direct
-    from repro.spines.overlay import SpinesNetwork
-
     total_rtus = sum(sub.rtus for sub in spec.substations)
     if total_rtus > MAX_CABLES:
         raise GridSpecError(
@@ -358,147 +327,28 @@ def _build_federated_world(sim, spec: GridSpec) -> GridWorld:
             "limit (10.77.0.0/16 third octet)")
 
     world = GridWorld(sim, spec)
-    world.keystore = KeyStore(sim.rng.child(f"{spec.name}/keys"))
-    world.compiler = MultiCompiler(sim.rng.child(f"{spec.name}/mc"))
-    prime_config = build_config(f=spec.f, k=spec.k)
-    world.prime_config = prime_config
+    world.wire_networks(
+        EXTERNAL_CIDR,
+        external_ports=(world.prime_config.n + spec.n_hmis
+                        + len(spec.substations) + len(spec.clients) + 8),
+        internal_cidr=INTERNAL_CIDR)
+    world.masters = world.wire_masters()
+    world.compile_variants()
 
-    # --- networks ------------------------------------------------------
-    ports_needed = (prime_config.n + spec.n_hmis + len(spec.substations)
-                    + len(spec.clients) + 8)
-    world.internal_lan = Lan(sim, f"{spec.name}-internal",
-                             "192.168.121.0/24", ports=prime_config.n + 2)
-    world.external_lan = Lan(sim, f"{spec.name}-external",
-                             "192.168.122.0/24", ports=ports_needed)
-    world.internal = SpinesNetwork(sim, f"{spec.name}.int",
-                                   world.internal_lan, world.keystore,
-                                   port=8100)
-    world.external = SpinesNetwork(sim, f"{spec.name}.ext",
-                                   world.external_lan, world.keystore,
-                                   port=8120)
-
-    # --- replica core --------------------------------------------------
-    for name in prime_config.replica_names:
-        host = Host(sim, f"{spec.name}.{name}",
-                    os_profile=centos_minimal_latest(),
-                    firewall=locked_down_firewall())
-        world.replica_hosts[name] = host
-        world.internal_lan.connect(host)
-        world.external_lan.connect(host)
-        internal_daemon = world.internal.add_daemon(host, f"int.{name}")
-        world.external.add_daemon(host, f"ext.{name}")
-        world.keystore.create_signing(name)
-        host.key_ring.install_signing(name, world.keystore.signing(name))
-        master = ScadaMaster(name)
-        replica = PrimeReplica(sim, name, prime_config, internal_daemon,
-                               world.external.daemon_on(host), master)
-        master.bind(replica)
-        world.masters[name] = master
-        world.replicas[name] = replica
-        world.variants[name] = {
-            program: world.compiler.compile(program)
-            for program in ("scada-master", "spines")}
-    world.internal.connect_full_mesh()
-
-    # --- substations ---------------------------------------------------
-    cable_index = 0
     region_daemons: Dict[str, List[str]] = {}
     for sub in spec.substations:
-        proxy_host = Host(sim, f"{spec.name}.proxy.{sub.name}",
-                          os_profile=centos_minimal_latest(),
-                          firewall=locked_down_firewall())
-        world.external_lan.connect(proxy_host)
-        proxy_daemon = world.external.add_daemon(proxy_host,
-                                                 f"ext.proxy.{sub.name}")
-        region_daemons.setdefault(sub.region, []).append(proxy_daemon.name)
-        proxy_name = f"proxy-{sub.name}"
-        world.keystore.create_signing(proxy_name)
-        proxy_host.key_ring.install_signing(
-            proxy_name, world.keystore.signing(proxy_name))
-        if sub.protocol == "dnp3":
-            from repro.scada.dnp3_proxy import Dnp3PlcProxy
-            proxy = Dnp3PlcProxy(
-                sim, proxy_name, proxy_host, proxy_daemon, prime_config,
-                poll_interval=max(sub.poll_interval, 1.0),
-                heartbeat_interval=sub.heartbeat_interval)
-        else:
-            proxy = PlcProxy(sim, proxy_name, proxy_host, proxy_daemon,
-                             prime_config, poll_interval=sub.poll_interval,
-                             heartbeat_interval=sub.heartbeat_interval)
-        world.proxies.append(proxy)
-        units: Dict[str, PlcUnit] = {}
-        for rtu_index in range(1, sub.rtus + 1):
-            plc_name = f"{sub.name}-r{rtu_index}"
-            topology = _feeder_topology(sub, plc_name)
-            plc_host = Host(sim, f"{spec.name}.{plc_name}")
-            wire_direct(sim, proxy_host, plc_host,
-                        f"10.77.{cable_index}.0/30")
-            cable_index += 1
-            if sub.protocol == "dnp3":
-                from repro.plc.dnp3 import Dnp3Outstation
-                device = Dnp3Outstation(sim, plc_name, plc_host, topology)
-            else:
-                device = PlcDevice(sim, plc_name, plc_host, topology)
-            plc_ip = plc_host.interfaces[-1].ip
-            proxy_host.firewall.allow(OUTBOUND, "tcp", remote_ip=plc_ip,
-                                      remote_port=device.port)
-            proxy_host.firewall.allow(INBOUND, "tcp", remote_ip=plc_ip,
-                                      remote_port=device.port)
-            if sub.protocol == "dnp3":
-                proxy.attach_outstation(device, plc_ip)
-            else:
-                proxy.attach_plc(device, plc_ip)
-            units[plc_name] = PlcUnit(device=device, host=plc_host,
-                                      topology=topology, proxy=proxy)
+        substation = wire_substation(world, spec, sub)
+        world.substations[sub.name] = substation
+        world.proxies.extend(substation.proxies)
+        region_daemons.setdefault(sub.region, []).append(
+            substation.proxies[0].daemon.name)
+        for plc_name in substation.units:
             world.plc_to_substation[plc_name] = sub.name
-        world.substations[sub.name] = Substation(
-            name=sub.name, region=sub.region, proxies=[proxy], units=units,
-            load_mw=sub.load_mw, generation_mw=sub.generation_mw)
 
-    # --- HMIs ----------------------------------------------------------
-    core_daemons: List[str] = [f"ext.{name}"
-                               for name in prime_config.replica_names]
-    for index in range(1, spec.n_hmis + 1):
-        hmi_name = f"hmi-{index}"
-        hmi_host = Host(sim, f"{spec.name}.{hmi_name}",
-                        os_profile=centos_minimal_latest(),
-                        firewall=locked_down_firewall())
-        world.external_lan.connect(hmi_host)
-        hmi_daemon = world.external.add_daemon(hmi_host, f"ext.{hmi_name}")
-        core_daemons.append(hmi_daemon.name)
-        world.keystore.create_signing(hmi_name)
-        hmi_host.key_ring.install_signing(hmi_name,
-                                          world.keystore.signing(hmi_name))
-        world.hmis.append(Hmi(sim, hmi_name, hmi_host, hmi_daemon,
-                              prime_config))
-
-    # --- client populations --------------------------------------------
-    for population_spec in spec.clients:
-        pop_name = f"pop-{population_spec.name}"
-        pop_host = Host(sim, f"{spec.name}.{pop_name}",
-                        os_profile=centos_minimal_latest(),
-                        firewall=locked_down_firewall())
-        world.external_lan.connect(pop_host)
-        pop_daemon = world.external.add_daemon(pop_host, f"ext.{pop_name}")
-        core_daemons.append(pop_daemon.name)
-        world.keystore.create_signing(pop_name)
-        pop_host.key_ring.install_signing(
-            pop_name, world.keystore.signing(pop_name))
-        client = PrimeClient(sim, pop_name, prime_config, pop_daemon,
-                             7900 + sim.sequence("grid.population.port"))
-        eligible = [sub for sub in world.substations.values()
-                    if not population_spec.regions
-                    or sub.region in population_spec.regions]
-        targets = [pair for sub in eligible for pair in sub.main_breakers()]
-        world.populations.append(
-            ClientPopulation(sim, population_spec, client, targets))
-
-    # --- region-structured external overlay ----------------------------
+    world.hmis, world.populations, core_daemons = wire_operators(world, spec)
     _wire_overlay(world.external, spec, core_daemons, region_daemons)
 
-    # --- hardening, physics, registrations -----------------------------
-    world.internal_lan.harden()
-    world.external_lan.harden()
+    world.harden()
     world.clients = [proxy.client for proxy in world.proxies] \
         + [hmi.client for hmi in world.hmis] \
         + [population.client for population in world.populations]
@@ -506,28 +356,84 @@ def _build_federated_world(sim, spec: GridSpec) -> GridWorld:
         name: [unit.topology for unit in sub.units.values()]
         for name, sub in world.substations.items()})
 
-    sim.schedule(0.05, _register_world, world)
+    world.schedule_registration(world.proxies, world.hmis)
     for population in world.populations:
-        population.start(at=0.5)
+        population.start(at=POPULATION_START)
     return world
 
 
-def _register_world(world: "GridWorld") -> None:
-    """Deferred proxy/HMI registration (module-level so the pending
-    event stays picklable for snapshots taken before it fires)."""
-    for proxy in world.proxies:
-        proxy.register_with_masters()
-    for hmi in world.hmis:
-        hmi.subscribe()
+# ----------------------------------------------------------------------
+# Pieces of the federated layout, shared with the shard kernels
+# (repro.shard.partition wires the same core and the same substations,
+# one kernel each)
+# ----------------------------------------------------------------------
+def spec_breaker_pairs(sub: SubstationSpec) -> List[Tuple[str, str]]:
+    """(plc, feed-breaker) pairs of one substation, derived from the
+    spec alone — matches ``Substation.main_breakers()`` (lexically
+    sorted PLCs, ``<plc>-main`` from ``_feeder_topology``)."""
+    plcs = sorted(f"{sub.name}-r{index}" for index in range(1, sub.rtus + 1))
+    return [(plc, f"{plc}-main") for plc in plcs]
 
 
-def _feeder_topology(sub: SubstationSpec, plc_name: str) -> "PowerTopology":
+def wire_substation(deployment: Deployment, spec: GridSpec,
+                    sub: SubstationSpec) -> Substation:
+    """One substation: a proxy serving its whole RTU population.
+
+    Cable subnets keep their *global* indices (a pure function of the
+    spec) so a substation is wired identically in the monolithic world
+    and alone in a shard kernel, wherever that kernel is placed.
+    """
+    cable_index = 0
+    for other in spec.substations:
+        if other.name == sub.name:
+            break
+        cable_index += other.rtus
+    plcs = [f"{sub.name}-r{index}" for index in range(1, sub.rtus + 1)]
+    proxy, units = deployment.wire_proxy(
+        sub.name, [(plc, _feeder_topology(sub, plc), False) for plc in plcs],
+        sub.protocol, sub.poll_interval, sub.heartbeat_interval, cable_index)
+    return Substation(
+        name=sub.name, region=sub.region, proxies=[proxy], units=units,
+        load_mw=sub.load_mw, generation_mw=sub.generation_mw)
+
+
+def wire_operators(deployment: Deployment, spec: GridSpec):
+    """The control-centre clients: HMIs and aggregate operator
+    populations, each a keyed host on the external overlay.
+
+    Returns ``(hmis, populations, core_daemons)``; ``core_daemons``
+    names the overlay's densely connected group — replicas, HMIs,
+    populations.
+    """
+    sim, prime_config = deployment.sim, deployment.prime_config
+    core_daemons = [f"ext.{name}" for name in prime_config.replica_names]
+    hmis = []
+    for index in range(1, spec.n_hmis + 1):
+        hmi_name = f"hmi-{index}"
+        daemon = deployment.wire_client_host(hmi_name, principal=hmi_name)
+        core_daemons.append(daemon.name)
+        hmis.append(Hmi(sim, hmi_name, daemon.host, daemon, prime_config))
+    populations = []
+    for population_spec in spec.clients:
+        pop_name = f"pop-{population_spec.name}"
+        daemon = deployment.wire_client_host(pop_name, principal=pop_name)
+        core_daemons.append(daemon.name)
+        client = PrimeClient(sim, pop_name, prime_config, daemon,
+                             7900 + sim.sequence("grid.population.port"))
+        targets = [pair for sub in spec.substations
+                   if not population_spec.regions
+                   or sub.region in population_spec.regions
+                   for pair in spec_breaker_pairs(sub)]
+        populations.append(
+            ClientPopulation(sim, population_spec, client, targets))
+    return hmis, populations, core_daemons
+
+
+def _feeder_topology(sub: SubstationSpec, plc_name: str) -> PowerTopology:
     """The radial feed one RTU controls: grid → substation bus through
     ``<plc>-main``, then one breaker+load per feeder.  Breaker names are
     globally unique (PLC-name prefixed) so HMI commands and report rows
     need no disambiguation."""
-    from repro.plc.topology import PowerTopology
-
     topology = PowerTopology(plc_name)
     topology.add_bus("grid", source=True)
     topology.add_bus("substation")

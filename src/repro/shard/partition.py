@@ -24,15 +24,20 @@ import hashlib
 import pickle
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.wiring import Deployment
+from repro.crypto.keys import KeyStore
+from repro.grid.physics import GridPhysics
 from repro.grid.spec import GridSpec, SubstationSpec
+from repro.grid.world import (
+    EXTERNAL_CIDR, INTERNAL_CIDR, POPULATION_START, _connect_group,
+    spec_breaker_pairs, wire_operators, wire_substation,
+)
+from repro.prime.config import build_config
 from repro.shard.errors import ShardConfigError
 from repro.shard.gateway import GatewayDaemon
+from repro.sim.simulator import Simulator
 
 CORE_KERNEL = "core"
-
-#: Registration instant shared with the monolithic builder.
-_REGISTER_AT = 0.05
-_POPULATION_START = 0.5
 
 
 def kernel_names(spec: GridSpec) -> List[str]:
@@ -48,8 +53,6 @@ def spec_lookahead(spec: GridSpec) -> float:
 
 def daemon_owner_map(spec: GridSpec) -> Dict[str, str]:
     """Destination daemon name -> owning kernel, for targeted routing."""
-    from repro.prime.config import build_config
-
     owners = {f"ext.{name}": CORE_KERNEL
               for name in build_config(f=spec.f, k=spec.k).replica_names}
     for index in range(1, spec.n_hmis + 1):
@@ -61,24 +64,15 @@ def daemon_owner_map(spec: GridSpec) -> Dict[str, str]:
     return owners
 
 
-def spec_breaker_pairs(sub: SubstationSpec) -> List[Tuple[str, str]]:
-    """(plc, feed-breaker) pairs of one substation, derived from the
-    spec alone — matches ``Substation.main_breakers()`` (lexically
-    sorted PLCs, ``<plc>-main`` from ``_feeder_topology``)."""
-    plcs = sorted(f"{sub.name}-r{index}" for index in range(1, sub.rtus + 1))
-    return [(plc, f"{plc}-main") for plc in plcs]
-
-
-def _derived_keystore(spec: GridSpec, seed: int):
-    from repro.crypto.keys import KeyStore
-
+def _derived_keystore(spec: GridSpec, seed: int) -> KeyStore:
     root = hashlib.sha256(
         f"shard-keys:{spec.name}:{seed}".encode()).digest()
     return KeyStore(root_secret=root)
 
 
-class ShardKernel:
-    """One partition of the simulated world, with its own Simulator.
+class ShardKernel(Deployment):
+    """One partition of the simulated world, with its own Simulator:
+    the federated layout of :mod:`repro.grid.world`, one piece of it.
 
     Exports (overlay messages, fraction samples) are pickled at export
     time and drained once per barrier round; imports are scheduled at
@@ -88,18 +82,15 @@ class ShardKernel:
     """
 
     def __init__(self, spec: GridSpec, name: str, seed: int):
-        from repro.sim.simulator import Simulator
-
+        super().__init__(Simulator(seed=seed, telemetry=spec.telemetry),
+                         spec.name, build_config(f=spec.f, k=spec.k),
+                         keystore=_derived_keystore(spec, seed))
         self.spec = spec
         self.name = name
-        self.sim = Simulator(seed=seed, telemetry=spec.telemetry)
-        self.keystore = _derived_keystore(spec, seed)
         self.outbox: List[Tuple[int, float, str, Optional[str], bytes]] = []
         self._export_seq = 0
         self.gateway: Optional[GatewayDaemon] = None
         # Core-kernel state
-        self.prime_config = None
-        self.replicas: Dict[str, object] = {}
         self.masters: Dict[str, object] = {}
         self.hmis: List[object] = []
         self.populations: List[object] = []
@@ -311,13 +302,6 @@ class _FractionSource:
         return self._kernel._fractions[self._name]
 
 
-def _register_core_hmis(kernel: ShardKernel) -> None:
-    """Deferred HMI registration (module-level so the pending event
-    stays picklable for snapshots taken before it fires)."""
-    for hmi in kernel.hmis:
-        hmi.subscribe()
-
-
 def _gateway_factory(kernel: ShardKernel):
     def make(sim, name, host, port, key_id, intrusion_tolerant=True):
         return GatewayDaemon(sim, name, host, port, key_id,
@@ -326,102 +310,31 @@ def _gateway_factory(kernel: ShardKernel):
     return make
 
 
-def _build_core_kernel(kernel: ShardKernel) -> None:
-    from repro.grid.physics import GridPhysics
-    from repro.grid.world import ClientPopulation, _connect_group
-    from repro.net.firewall import locked_down_firewall
-    from repro.net.host import Host
-    from repro.net.lan import Lan
-    from repro.net.osprofile import centos_minimal_latest
-    from repro.prime.client import PrimeClient
-    from repro.prime.config import build_config
-    from repro.prime.replica import PrimeReplica
-    from repro.scada.hmi import Hmi
-    from repro.scada.master import ScadaMaster
-    from repro.spines.overlay import SpinesNetwork
-
-    sim, spec = kernel.sim, kernel.spec
-    prime_config = build_config(f=spec.f, k=spec.k)
-    kernel.prime_config = prime_config
-
-    ports_needed = (prime_config.n + spec.n_hmis + len(spec.clients) + 9)
-    internal_lan = Lan(sim, f"{spec.name}-internal", "192.168.121.0/24",
-                       ports=prime_config.n + 2)
-    external_lan = Lan(sim, f"{spec.name}-external", "192.168.122.0/24",
-                       ports=ports_needed)
-    internal = SpinesNetwork(sim, f"{spec.name}.int", internal_lan,
-                             kernel.keystore, port=8100)
-    external = SpinesNetwork(sim, f"{spec.name}.ext", external_lan,
-                             kernel.keystore, port=8120)
-
-    for name in prime_config.replica_names:
-        host = Host(sim, f"{spec.name}.{name}",
-                    os_profile=centos_minimal_latest(),
-                    firewall=locked_down_firewall())
-        internal_lan.connect(host)
-        external_lan.connect(host)
-        internal_daemon = internal.add_daemon(host, f"int.{name}")
-        external.add_daemon(host, f"ext.{name}")
-        kernel.keystore.create_signing(name)
-        host.key_ring.install_signing(name, kernel.keystore.signing(name))
-        master = ScadaMaster(name)
-        replica = PrimeReplica(sim, name, prime_config, internal_daemon,
-                               external.daemon_on(host), master)
-        master.bind(replica)
-        kernel.masters[name] = master
-        kernel.replicas[name] = replica
-    internal.connect_full_mesh()
-
-    core_daemons = [f"ext.{name}" for name in prime_config.replica_names]
-    for index in range(1, spec.n_hmis + 1):
-        hmi_name = f"hmi-{index}"
-        hmi_host = Host(sim, f"{spec.name}.{hmi_name}",
-                        os_profile=centos_minimal_latest(),
-                        firewall=locked_down_firewall())
-        external_lan.connect(hmi_host)
-        hmi_daemon = external.add_daemon(hmi_host, f"ext.{hmi_name}")
-        core_daemons.append(hmi_daemon.name)
-        kernel.keystore.create_signing(hmi_name)
-        hmi_host.key_ring.install_signing(
-            hmi_name, kernel.keystore.signing(hmi_name))
-        kernel.hmis.append(Hmi(sim, hmi_name, hmi_host, hmi_daemon,
-                               prime_config))
-
-    for population_spec in spec.clients:
-        pop_name = f"pop-{population_spec.name}"
-        pop_host = Host(sim, f"{spec.name}.{pop_name}",
-                        os_profile=centos_minimal_latest(),
-                        firewall=locked_down_firewall())
-        external_lan.connect(pop_host)
-        pop_daemon = external.add_daemon(pop_host, f"ext.{pop_name}")
-        core_daemons.append(pop_daemon.name)
-        kernel.keystore.create_signing(pop_name)
-        pop_host.key_ring.install_signing(
-            pop_name, kernel.keystore.signing(pop_name))
-        client = PrimeClient(sim, pop_name, prime_config, pop_daemon,
-                             7900 + sim.sequence("grid.population.port"))
-        eligible = [sub for sub in spec.substations
-                    if not population_spec.regions
-                    or sub.region in population_spec.regions]
-        targets = [pair for sub in eligible
-                   for pair in spec_breaker_pairs(sub)]
-        kernel.populations.append(
-            ClientPopulation(sim, population_spec, client, targets))
-
-    _connect_group(external, core_daemons,
-                   degree=max(4, len(core_daemons)))
-    gateway_host = Host(sim, f"{spec.name}.gw.core",
-                        os_profile=centos_minimal_latest(),
-                        firewall=locked_down_firewall())
-    external_lan.connect(gateway_host)
-    gateway = external.add_daemon(gateway_host, "ext.gw.core",
-                                  factory=_gateway_factory(kernel))
-    external.add_edge(sorted(core_daemons)[0], gateway.name)
+def _wire_gateway(kernel: ShardKernel, uplink: str) -> None:
+    """The kernel's door to its peers: a gateway daemon one edge from
+    ``uplink``, speaking for every other daemon of this kernel."""
+    external = kernel.external
+    gateway = kernel.wire_client_host(f"gw.{kernel.name}",
+                                      factory=_gateway_factory(kernel))
+    external.add_edge(uplink, gateway.name)
     gateway.set_local_sources(set(external.daemons) - {gateway.name})
     kernel.gateway = gateway
 
-    internal_lan.harden()
-    external_lan.harden()
+
+def _build_core_kernel(kernel: ShardKernel) -> None:
+    sim, spec = kernel.sim, kernel.spec
+    kernel.wire_networks(
+        EXTERNAL_CIDR,
+        external_ports=(kernel.prime_config.n + spec.n_hmis
+                        + len(spec.clients) + 9),
+        internal_cidr=INTERNAL_CIDR)
+    kernel.masters = kernel.wire_masters()
+    kernel.hmis, kernel.populations, core_daemons = wire_operators(
+        kernel, spec)
+    _connect_group(kernel.external, core_daemons,
+                   degree=max(4, len(core_daemons)))
+    _wire_gateway(kernel, uplink=sorted(core_daemons)[0])
+    kernel.harden()
 
     # Physics lives here; remote substations feed lagged energized
     # fractions through the barrier (initially fully energized).
@@ -430,104 +343,23 @@ def _build_core_kernel(kernel: ShardKernel) -> None:
                for sub in spec.substations}
     kernel.physics = GridPhysics(sim, spec, {}, fraction_sources=sources)
 
-    sim.schedule(_REGISTER_AT, _register_core_hmis, kernel)
+    kernel.schedule_registration(hmis=kernel.hmis)
     for population in kernel.populations:
-        population.start(at=_POPULATION_START)
+        population.start(at=POPULATION_START)
 
 
 def _build_substation_kernel(kernel: ShardKernel,
                              sub: SubstationSpec) -> None:
-    from repro.core.spire import PlcUnit
-    from repro.grid.world import Substation, _feeder_topology
-    from repro.net.firewall import INBOUND, OUTBOUND, locked_down_firewall
-    from repro.net.host import Host
-    from repro.net.lan import Lan
-    from repro.net.osprofile import centos_minimal_latest
-    from repro.plc.device import PlcDevice
-    from repro.prime.config import build_config
-    from repro.scada.proxy import PlcProxy, wire_direct
-    from repro.spines.overlay import SpinesNetwork
-
-    sim, spec = kernel.sim, kernel.spec
-    prime_config = build_config(f=spec.f, k=spec.k)
-    kernel.prime_config = prime_config
-
-    external_lan = Lan(sim, f"{spec.name}-external", "192.168.122.0/24",
-                       ports=10)
-    external = SpinesNetwork(sim, f"{spec.name}.ext", external_lan,
-                             kernel.keystore, port=8120)
-
-    proxy_host = Host(sim, f"{spec.name}.proxy.{sub.name}",
-                      os_profile=centos_minimal_latest(),
-                      firewall=locked_down_firewall())
-    external_lan.connect(proxy_host)
-    proxy_daemon = external.add_daemon(proxy_host, f"ext.proxy.{sub.name}")
-    proxy_name = f"proxy-{sub.name}"
-    kernel.keystore.create_signing(proxy_name)
-    proxy_host.key_ring.install_signing(
-        proxy_name, kernel.keystore.signing(proxy_name))
-    if sub.protocol == "dnp3":
-        from repro.scada.dnp3_proxy import Dnp3PlcProxy
-        proxy = Dnp3PlcProxy(
-            sim, proxy_name, proxy_host, proxy_daemon, prime_config,
-            poll_interval=max(sub.poll_interval, 1.0),
-            heartbeat_interval=sub.heartbeat_interval)
-    else:
-        proxy = PlcProxy(sim, proxy_name, proxy_host, proxy_daemon,
-                         prime_config, poll_interval=sub.poll_interval,
-                         heartbeat_interval=sub.heartbeat_interval)
-    kernel.proxy = proxy
-
-    # Cable subnets keep their *global* indices (a pure function of the
-    # spec) so kernel contents never depend on shard placement.
-    cable_index = 0
-    for other in spec.substations:
-        if other.name == sub.name:
-            break
-        cable_index += other.rtus
-
-    units: Dict[str, PlcUnit] = {}
-    for rtu_index in range(1, sub.rtus + 1):
-        plc_name = f"{sub.name}-r{rtu_index}"
-        topology = _feeder_topology(sub, plc_name)
-        plc_host = Host(sim, f"{spec.name}.{plc_name}")
-        wire_direct(sim, proxy_host, plc_host, f"10.77.{cable_index}.0/30")
-        cable_index += 1
-        if sub.protocol == "dnp3":
-            from repro.plc.dnp3 import Dnp3Outstation
-            device = Dnp3Outstation(sim, plc_name, plc_host, topology)
-        else:
-            device = PlcDevice(sim, plc_name, plc_host, topology)
-        plc_ip = plc_host.interfaces[-1].ip
-        proxy_host.firewall.allow(OUTBOUND, "tcp", remote_ip=plc_ip,
-                                  remote_port=device.port)
-        proxy_host.firewall.allow(INBOUND, "tcp", remote_ip=plc_ip,
-                                  remote_port=device.port)
-        if sub.protocol == "dnp3":
-            proxy.attach_outstation(device, plc_ip)
-        else:
-            proxy.attach_plc(device, plc_ip)
-        units[plc_name] = PlcUnit(device=device, host=plc_host,
-                                  topology=topology, proxy=proxy)
-    kernel.substation = Substation(
-        name=sub.name, region=sub.region, proxies=[proxy], units=units,
-        load_mw=sub.load_mw, generation_mw=sub.generation_mw)
-
-    gateway_host = Host(sim, f"{spec.name}.gw.{sub.name}",
-                        os_profile=centos_minimal_latest(),
-                        firewall=locked_down_firewall())
-    external_lan.connect(gateway_host)
-    gateway = external.add_daemon(gateway_host, f"ext.gw.{sub.name}",
-                                  factory=_gateway_factory(kernel))
-    external.add_edge(proxy_daemon.name, gateway.name)
-    gateway.set_local_sources(set(external.daemons) - {gateway.name})
-    kernel.gateway = gateway
-
-    external_lan.harden()
+    kernel.wire_networks(EXTERNAL_CIDR, external_ports=10)
+    kernel.substation = wire_substation(kernel, kernel.spec, sub)
+    kernel.proxy = kernel.substation.proxies[0]
+    _wire_gateway(kernel, uplink=kernel.proxy.daemon.name)
+    kernel.harden()
 
     # Energized-fraction probe: sampled on the physics step cadence and
     # exported to the core kernel, where it lands one lookahead later —
     # the same one-step-lagged view at every shard count.
-    sim.every(spec.physics.step_interval, _FractionProbe(kernel))
+    kernel.sim.every(kernel.spec.physics.step_interval,
+                     _FractionProbe(kernel))
 
-    sim.schedule(_REGISTER_AT, proxy.register_with_masters)
+    kernel.schedule_registration(proxies=[kernel.proxy])

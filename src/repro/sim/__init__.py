@@ -1,36 +1,7 @@
-"""Deprecated import location — use :mod:`repro.api` instead.
+"""The discrete-event kernel: ``repro.sim.simulator`` (clock, event
+heap, timers) and ``repro.sim.process`` (named components with scoped
+logging, RNG streams and timers).
 
-The kernel modules (``repro.sim.simulator``, ``repro.sim.process``)
-import without warnings; pulling names from ``repro.sim`` itself emits
-``DeprecationWarning`` pointing at the :mod:`repro.api` replacement.
+Import from the submodules, or from :mod:`repro.api` — the public
+entry point.  This package re-exports nothing.
 """
-
-from __future__ import annotations
-
-import importlib
-import warnings
-
-_MOVED = {
-    "Event": "repro.sim.simulator",
-    "PeriodicTimer": "repro.sim.simulator",
-    "SimulationError": "repro.sim.simulator",
-    "Simulator": "repro.sim.simulator",
-    "Process": "repro.sim.process",
-}
-
-__all__ = sorted(_MOVED)
-
-
-def __getattr__(name: str):
-    home = _MOVED.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    warnings.warn(
-        f"importing {name!r} from 'repro.sim' is deprecated; use "
-        f"'from repro.api import {name}' instead",
-        DeprecationWarning, stacklevel=2)
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_MOVED))

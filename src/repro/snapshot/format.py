@@ -41,7 +41,9 @@ MAGIC = b"SPIRESNAP"
 #: — the kernel's heap entry shape included, since a payload pickled
 #: around the old shape would only fail later, inside ``run()``.
 #: 2: heap entries are ``(time, seq, handle, fn, args)``.
-SCHEMA_VERSION = 2
+#: 3: every world is a ``repro.core.wiring.Deployment``; campaign cells
+#: lost ``kind`` / ``planned_commands``.
+SCHEMA_VERSION = 3
 
 
 class SnapshotError(RuntimeError):
@@ -53,7 +55,14 @@ def _encode(kind: str, payload: Any,
             ) -> Tuple[bytes, Dict[str, Any]]:
     """Pickle ``payload`` into container bytes; the single encode path
     behind both :func:`dump` (disk) and :func:`dumps` (in-memory)."""
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    try:
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        # What pickle raises for a lambda, a local function or an open
+        # handle somewhere in the graph (e.g. a world carrying a timer
+        # whose callback is a closure).
+        raise SnapshotError(
+            f"cannot snapshot this {kind!r} payload: {exc}") from exc
     header = {
         "schema": SCHEMA_VERSION,
         "kind": kind,

@@ -24,7 +24,7 @@ API_EXPORTS = {
     "GridWorld", "OverlayRegionSpec", "PhysicsSpec", "SubstationSpec",
     "build_world", "load_grid_spec", "make_town_spec",
     # Deployment configuration and builders
-    "SpireConfig", "plant_config", "redteam_config",
+    "SpireConfig",
     "PlcUnit", "SpireSystem", "build_spire",
     "BreakerCycler", "EnterpriseChatter", "RedTeamTestbed",
     "build_redteam_testbed",
@@ -49,6 +49,11 @@ API_EXPORTS = {
 }
 
 
+# Namespaces for their submodules: a docstring and nothing else.  The
+# deprecation shims that lived here (warning since PR 1) are deleted.
+NAMESPACE_PACKAGES = ("repro.core", "repro.sim")
+
+
 @pytest.mark.parametrize("package", PACKAGES)
 def test_package_imports(package):
     module = importlib.import_module(package)
@@ -60,6 +65,9 @@ def test_package_imports(package):
 def test_all_exports_resolve(package):
     module = importlib.import_module(package)
     exported = getattr(module, "__all__", [])
+    if package in NAMESPACE_PACKAGES:
+        assert not exported and not hasattr(module, "__getattr__")
+        return
     assert exported, f"{package} exports nothing"
     for name in exported:
         assert hasattr(module, name), f"{package}.{name} missing"
@@ -106,21 +114,23 @@ def test_headline_entry_points_exist():
     assert GridSpec.single_site("redteam").spire_config().k == 0
 
 
-def test_legacy_config_constructors_warn():
-    """``plant_config``/``redteam_config`` still work but deprecate
-    toward ``GridSpec.single_site(...)``."""
-    from repro.api import plant_config, redteam_config
-    with pytest.warns(DeprecationWarning, match="GridSpec.single_plant"):
-        config = plant_config()
-    assert config.k == 1 and config.n_hmis == 3
-    with pytest.warns(DeprecationWarning, match="GridSpec.single_site"):
-        config = redteam_config()
-    assert config.k == 0
-    # The deprecated constructor and the GridSpec path agree exactly.
-    from repro.api import GridSpec
-    with pytest.warns(DeprecationWarning):
-        legacy = plant_config(n_hmis=1, seed=9)
-    assert legacy == GridSpec.single_plant(n_hmis=1, seed=9).spire_config()
+def test_legacy_config_constructors_are_gone():
+    """``plant_config`` / ``redteam_config`` are deleted; the spec layer
+    builds exactly what they built."""
+    import repro.api
+    import repro.core.config
+    from repro.api import GridSpec, SpireConfig
+    for name in ("plant_config", "redteam_config"):
+        assert not hasattr(repro.api, name)
+        assert not hasattr(repro.core.config, name)
+    # What plant_config(n_hmis=1, seed=9) returned, field for field.
+    assert GridSpec.single_plant(n_hmis=1, seed=9).spire_config() == (
+        SpireConfig(name="plant-2018", f=1, k=1, n_distribution_plcs=10,
+                    n_generation_plcs=6, physical_scenario="plant",
+                    n_hmis=1, seed=9))
+    assert GridSpec.single_site("redteam").spire_config() == SpireConfig(
+        name="redteam-2017", f=1, k=0, n_distribution_plcs=10,
+        n_generation_plcs=0, physical_scenario="redteam", n_hmis=1)
 
 
 def test_api_export_snapshot():
@@ -149,32 +159,27 @@ def test_api_never_warns():
     ("repro.sim", "Process"),
 ])
 def test_legacy_paths_warn_and_resolve(package, name):
-    """Old import paths keep working but deprecate toward repro.api."""
+    """They did both from PR 1 on; the shims are deleted now (ROADMAP
+    2c) and the test keeps its id so these six paths stay on the
+    suite's floor: none resolves from the package any more, nothing
+    warns, and every name still public lives in ``repro.api``."""
+    import warnings
+
     module = importlib.import_module(package)
-    with pytest.warns(DeprecationWarning, match=f"repro.api import {name}"):
-        legacy = getattr(module, name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        with pytest.raises(AttributeError):
+            getattr(module, name)
     api = importlib.import_module("repro.api")
-    assert legacy is getattr(api, name)
-
-
-def test_legacy_star_surface_matches_shim_table():
-    """Every name the old packages exported is still reachable."""
-    import repro.core
-    import repro.sim
-    assert set(repro.sim.__all__) == {
-        "Event", "PeriodicTimer", "SimulationError", "Simulator", "Process"}
-    for name in repro.core.__all__:
-        assert name in API_EXPORTS
+    assert hasattr(api, name) == (name != "plant_config")
 
 
 def test_config_rejects_unknown_override():
-    from repro.api import GridSpec, plant_config
-    with pytest.raises(TypeError, match="unknown SpireConfig field"):
-        with pytest.warns(DeprecationWarning):
-            plant_config(n_hmi=1)      # typo for n_hmis
-    from repro.api import GridSpecError
+    from repro.api import GridSpec, GridSpecError
     with pytest.raises(GridSpecError, match="unknown SpireConfig field"):
-        GridSpec.single_plant(n_hmi=1)
+        GridSpec.single_plant(n_hmi=1)      # typo for n_hmis
+    with pytest.raises(GridSpecError, match="unknown SpireConfig field"):
+        GridSpec.single_site("redteam", n_hmi=1)
 
 
 def test_build_spire_single_argument_form():

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.faults import BUILTIN_SCENARIOS, report_digest, run_campaign
-from repro.faults.campaign import _build_harness_cell
+from repro.faults.campaign import _build_cell
 from repro.mana.alerts import Alert, AlertCorrelator, Incident
 from repro.mana.scoring import score_alerts
 from repro.obs.scorecard import (
@@ -174,8 +174,8 @@ def test_build_detection_section_none_without_detection():
 def test_live_mana_survives_snapshot_roundtrip():
     from repro.snapshot import restore_world_bytes, save_world_bytes
 
-    cell = _build_harness_cell(seed=5, f=1, k=1, harness={},
-                               run_for=12.0, arm_at=3.0, mana=True)
+    cell = _build_cell(grid=None, seed=5, f=1, k=1, harness={},
+                       run_for=12.0, arm_at=3.0, mana=True)
     assert cell.mana and all(inst.trained for inst in cell.mana.values())
     assert all(inst._live_timer is not None for inst in cell.mana.values())
     image = save_world_bytes(cell)

@@ -184,3 +184,38 @@ def test_subnet_allocation_and_containment():
     # end early or die as "generator raised StopIteration".
     with pytest.raises(SubnetExhausted):
         list(map(lambda _: subnet.allocate(), range(2)))
+
+
+# ---------------------------------------------------------------------------
+# One wiring kernel: the Fig. 2 deployment is written once
+# ---------------------------------------------------------------------------
+def test_deployment_pieces_are_constructed_in_one_module():
+    """A replica, a locked-down host, a recovery target, a PLC cable and
+    a proxy are each built in ``repro.core.wiring`` and nowhere else
+    under ``src/repro`` — a fifth hand-wired world fails here."""
+    import ast
+    import re
+    from pathlib import Path
+
+    import repro
+
+    watched = {"PrimeReplica", "locked_down_firewall", "RecoveryTarget",
+               "wire_direct", "PlcProxy", "Dnp3PlcProxy"}
+    root = Path(repro.__file__).parent
+    callers = {name: set() for name in watched}
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = (func.id if isinstance(func, ast.Name)
+                      else func.attr if isinstance(func, ast.Attribute)
+                      else None)
+            if called in watched:
+                callers[called].add(str(path.relative_to(root)))
+    assert callers == {name: {"core/wiring.py"} for name in watched}
+
+    # ...and one campaign cell builder over whatever world that wires.
+    import repro.faults.campaign as campaign
+    assert [name for name in vars(campaign)
+            if re.fullmatch(r"_build_(.*_)?cell", name)] == ["_build_cell"]

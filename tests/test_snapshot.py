@@ -101,8 +101,10 @@ class TestFormat:
         header = json.loads(header_line)
         # Any other schema, older as well as newer: up to PR 14 heap
         # entries were (time, seq, event), and a schema-1 payload would
-        # otherwise unpickle and fail somewhere inside run().
-        for schema in (1, snapshot_format.SCHEMA_VERSION + 1):
+        # otherwise unpickle and fail somewhere inside run(); schema 2
+        # worlds were not yet ``repro.core.wiring.Deployment``s.
+        assert snapshot_format.SCHEMA_VERSION == 3
+        for schema in (1, 2, snapshot_format.SCHEMA_VERSION + 1):
             header["schema"] = schema
             data = b"\n".join([
                 magic, json.dumps(header, sort_keys=True).encode(), rest])
@@ -161,6 +163,27 @@ class TestWorldRestoreDeterminism:
     def test_worldless_object_rejected(self, tmp_path):
         with pytest.raises(SnapshotError, match="no .sim"):
             save_world(str(tmp_path / "x.snap"), object())
+
+    def test_unpicklable_world_is_a_snapshot_error(self):
+        world = build_world(GridSpec.single_plant())
+        world.sim.every(1.0, lambda: None)
+        with pytest.raises(SnapshotError, match="cannot snapshot this "
+                                                "'world' payload.*lambda"):
+            save_world_bytes(world)
+
+    @pytest.mark.parametrize("site", ["plant", "redteam"])
+    def test_site_world_snapshots_before_registration(self, site):
+        # The registration event pending at t = 0 used to be a closure
+        # local to build_spire, which does not pickle.
+        spec = GridSpec.single_site(site)
+        straight = build_world(spec)
+        straight.run(until=1.0)
+        world = build_world(spec)
+        restored = restore_world_bytes(save_world_bytes(world))
+        for copy in (world, restored):
+            copy.run(until=1.0)
+            assert (copy.sim.event_digest(), copy.sim.events_executed) == (
+                straight.sim.event_digest(), straight.sim.events_executed)
 
 
 # ----------------------------------------------------------------------
