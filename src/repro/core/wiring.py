@@ -22,7 +22,9 @@ replica, a locked-down host, a proxy or a PLC cable on its own
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple,
+)
 
 from repro.crypto.keys import KeyStore
 from repro.diversity.multicompiler import MultiCompiler
@@ -30,17 +32,20 @@ from repro.diversity.recovery import ProactiveRecoveryScheduler, RecoveryTarget
 from repro.net.firewall import INBOUND, OUTBOUND, locked_down_firewall
 from repro.net.host import Host
 from repro.net.lan import Lan
-from repro.plc.device import PlcDevice
-from repro.plc.dnp3 import Dnp3Outstation
-from repro.plc.topology import PowerTopology
 from repro.prime.config import PrimeConfig
 from repro.prime.replica import PrimeReplica
-from repro.scada.dnp3_proxy import Dnp3PlcProxy
-from repro.scada.events import register_hmi_op
-from repro.scada.master import ScadaMaster
-from repro.scada.proxy import PlcProxy, wire_direct
 from repro.spines.daemon import SpinesDaemon
 from repro.spines.overlay import SpinesNetwork
+
+# The SCADA and PLC stacks (and, through ``repro.scada``, MANA and
+# numpy) load when a layout first wires a master or a proxy: the
+# Prime-only campaign harness never does, and stays as light to import
+# as it is to run.
+if TYPE_CHECKING:
+    from repro.plc.device import PlcDevice
+    from repro.plc.topology import PowerTopology
+    from repro.scada.master import ScadaMaster
+    from repro.scada.proxy import PlcProxy
 
 #: When proxies and HMIs announce themselves (the first ordered updates).
 REGISTER_AT = 0.05
@@ -65,6 +70,8 @@ def register_clients(proxies, hmis, historian=None) -> None:
     for hmi in hmis:
         hmi.subscribe()
     if historian is not None:
+        from repro.scada.events import register_hmi_op
+
         # The historian consumes the same feed as an HMI.
         hmis[0].client.submit(register_hmi_op(historian.feed_addr))
 
@@ -187,6 +194,8 @@ class Deployment:
 
     def wire_masters(self) -> Dict[str, ScadaMaster]:
         """The replica core with a SCADA master behind every replica."""
+        from repro.scada.master import ScadaMaster
+
         masters = self.wire_replicas(ScadaMaster)
         for name, master in masters.items():
             master.bind(self.replicas[name])
@@ -224,6 +233,11 @@ class Deployment:
         name, topology, physical)`` each — over direct cables numbered
         from ``cable_index`` (``10.77.<index>.0/30``).  Returns the
         proxy and its ``{plc name: PlcUnit}``."""
+        from repro.plc.device import PlcDevice
+        from repro.plc.dnp3 import Dnp3Outstation
+        from repro.scada.dnp3_proxy import Dnp3PlcProxy
+        from repro.scada.proxy import PlcProxy, wire_direct
+
         daemon = self.wire_client_host(f"proxy.{label}",
                                        principal=f"proxy-{label}")
         dnp3 = protocol == "dnp3"
