@@ -157,6 +157,45 @@ def test_excursion_fairness_attack_bounded(experiment):
     assert stage.observations["dropped"] > 0
 
 
+def test_outcome_witness_every_stage_verdict(experiment):
+    """The E5-E7 verdicts as one literal, captured under whole-overlay
+    flooding (9a7c173): how overlay traffic travels must not move any
+    of them (see ``tests/test_outcome_witness.py``)."""
+    _, testbed, attacker, reports = experiment
+    won = [f"{name}: {stage.stage}" for name, report in reports.items()
+           for stage in report.stages if stage.attacker_goal_achieved]
+    defended = [f"{name}: {stage.stage}" for name, report in reports.items()
+                for stage in report.stages
+                if not stage.attacker_goal_achieved]
+    assert won == [
+        "commercial-enterprise: scan server through perimeter",
+        "commercial-enterprise: pivot onto operations network",
+        "commercial-enterprise: PLC memory dump",
+        "commercial-enterprise: PLC config upload (control of PLC)",
+        "commercial-ops: send modified updates to HMI",
+        "commercial-ops: prevent correct updates from being received",
+    ]
+    assert defended == [
+        "spire-enterprise: gain visibility into Spire from enterprise",
+        "spire-ops: port scan of a replica",
+        "spire-ops: reach the PLC over the network",
+        "spire-ops: ARP-poisoning man-in-the-middle",
+        "spire-ops: IP spoofing into the overlay",
+        "spire-ops: denial of service (traffic burst)",
+        "excursion: stop Spines daemon on one replica",
+        "excursion: run modified daemon without keys",
+        "excursion: privilege escalation (dirtycow, sshd)",
+        "excursion: patch Spines binary with exploit",
+        "excursion: fairness attack as trusted member (root + source)",
+    ]
+    excursion = {stage.stage: stage.observations
+                 for stage in reports["excursion"].stages}
+    assert all(observations["health"]["ok"]
+               for observations in excursion.values()
+               if "health" in observations)
+    assert not testbed.spire.physical_plc.device.compromised_config
+
+
 def test_both_systems_health_after_experiment(experiment):
     """After the full campaign, Spire still operates; the commercial
     system also 'operates' but its PLC runs attacker logic and its HMI
