@@ -12,7 +12,7 @@ from repro.crypto.auth import (
 )
 from repro.crypto.seal import SealError, SealedPayload, seal
 from repro.crypto.serialize import (
-    ENCODE_STATS, Canonical, FrozenViewMixin, UnserializableError,
+    ENCODE_STATS, FrozenViewMixin, UnserializableError,
     cache_enabled, canonical_bytes, canonical_cached, payload_bytes,
     reset_encode_stats, set_cache_enabled,
 )
@@ -22,7 +22,7 @@ __all__ = [
     "Mac", "Signature", "digest", "forge_signature", "mac_payload",
     "sign_payload", "verify_mac", "verify_signature",
     "SealError", "SealedPayload", "seal",
-    "UnserializableError", "canonical_bytes", "Canonical",
+    "UnserializableError", "canonical_bytes",
     "FrozenViewMixin", "canonical_cached", "payload_bytes",
     "cache_enabled", "set_cache_enabled",
     "cache_stats", "reset_cache_stats", "publish_cache_metrics",

@@ -10,8 +10,7 @@ so that e.g. ``1`` and ``"1"`` encode differently *and* sort apart.
 The encoder is one ``type -> function`` table (:class:`_EncoderTable`):
 an exact builtin is one lookup, and a subclass or dataclass is resolved
 through its MRO the first time it is seen and memoised.  The byte
-format is known to this module alone; callers that must not encode the
-same sub-value twice hold on to its encoding as a :class:`Canonical`.
+format is known to this module alone.
 
 Hot-path caching
 ----------------
@@ -112,18 +111,6 @@ def _encode_bytes(value: Any) -> bytes:
     return b"b" + _PACK_U32(len(value)) + value
 
 
-class Canonical(bytes):
-    """``canonical_bytes(v)`` kept for reuse: wherever a ``Canonical``
-    sits inside a value, the encoder emits it verbatim, so the enclosing
-    value encodes exactly as if ``v`` itself sat there."""
-
-    __slots__ = ()
-
-
-def _encode_canonical(value: Canonical) -> bytes:
-    return value
-
-
 def _encode_sequence(value: Any) -> bytes:
     encoders = _ENCODERS
     parts = [b"l" + _PACK_U32(len(value))]
@@ -218,7 +205,7 @@ _BUILTIN_ENCODERS: Dict[type, Callable[[Any], bytes]] = {
     type(None): _encode_none, bool: _encode_bool, int: _encode_int,
     float: _encode_float, str: _encode_str, bytes: _encode_bytes,
     list: _encode_sequence, tuple: _encode_sequence, dict: _encode_dict,
-    frozenset: _encode_frozenset, Canonical: _encode_canonical,
+    frozenset: _encode_frozenset,
 }
 _ENCODERS = _EncoderTable(_BUILTIN_ENCODERS)
 

@@ -12,7 +12,10 @@ attack the paper reports the Sandia red team using (Section IV-B):
 * local privilege escalation via known CVEs (dirtycow, sshd),
 * Spines daemon manipulation: stop, replace with an unkeyed build, or
   patch the keyed binary (exploit in the code path disabled in IT mode),
-* the trusted-member fairness flood (root + source excursion).
+* the trusted-member fairness flood (root + source excursion),
+* payload substitution by a keyed forwarder (root + source: every
+  message the daemon relays leaves it carrying the attacker's payload
+  under the original source signature and a valid link MAC).
 
 Outcomes are *mechanical*: each primitive succeeds or fails because of
 what the substrate enforces (firewalls, static mappings, MACs,
@@ -22,7 +25,7 @@ recorded as an :class:`AttackRecord` for the scenario reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.crypto.keys import KeyRing, KeyStore
@@ -34,6 +37,7 @@ from repro.net.scan import PortScanner, ScanReport
 from repro.plc.modbus import ModbusResponse, config_upload, memory_dump
 from repro.sim.process import Process
 from repro.spines.daemon import SpinesDaemon
+from repro.spines.messages import IT_FLOOD, LinkEnvelope, OverlayMessage
 
 
 @dataclass
@@ -402,8 +406,39 @@ def fairness_flood(attacker: Attacker, daemon: SpinesDaemon,
         record.resolve(False, "needs root on the daemon host")
         return record
     session = daemon.create_session(9999, lambda src, payload: None)
-    from repro.spines.messages import IT_FLOOD
     for i in range(count):
         session.send(dst, f"flood-{i}", service=IT_FLOOD)
     record.resolve(True, f"{count} messages injected as trusted member")
+    return record
+
+
+def substitute_payloads(attacker: Attacker, daemon: SpinesDaemon,
+                        forge: Callable[[Any], Any]) -> AttackRecord:
+    """Root + source excursion: turn a *keyed* overlay member into a
+    forwarder that swaps what it carries.
+
+    Every message of another source that ``daemon`` relays leaves it
+    re-wrapped around ``forge(payload)``: same addresses, same
+    ``(src_daemon, seq)``, the genuine source signature still attached,
+    and the daemon's own link MAC — valid, it holds the network key —
+    over the result.  Whether the next hop accepts that is a property
+    of what the source signature covers."""
+    record = attacker._record("substitute-payloads", daemon.name)
+    if attacker.footholds.get(daemon.host.name) != "root":
+        record.resolve(False, "needs root on the daemon host")
+        return record
+    send_genuine = daemon._send_envelope
+
+    def send_forged(neighbor: str, envelope: LinkEnvelope,
+                    now: float) -> None:
+        body = envelope.body
+        if (isinstance(body, OverlayMessage)
+                and body.src_daemon != daemon.name):
+            forged = replace(body, payload=forge(body.payload))
+            envelope = LinkEnvelope(sender=daemon.name, kind=envelope.kind,
+                                    body=forged)
+        send_genuine(neighbor, envelope, now)
+
+    daemon._send_envelope = send_forged
+    record.resolve(True, "forwarder substitutes every relayed payload")
     return record

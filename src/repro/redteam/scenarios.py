@@ -29,7 +29,7 @@ from repro.net.osprofile import VULN_DIRTYCOW, VULN_SSHD_CVE, \
     VULN_WEBADMIN_DEFAULT_CREDS
 from repro.redteam.attacks import (
     ArpMitm, Attacker, fairness_flood, patch_spines_binary,
-    run_unkeyed_daemon, stop_spines_daemon,
+    run_unkeyed_daemon, stop_spines_daemon, substitute_payloads,
 )
 from repro.redteam.commercial import StatePush
 
@@ -380,6 +380,64 @@ def run_spire_excursion(testbed, attacker: Attacker,
                f"messages; SCADA operation "
                f"{'DISRUPTED' if not health['ok'] else 'unaffected'}",
                dropped=dropped_fairness, health=health)
+    return report
+
+
+# ----------------------------------------------------------------------
+# Stage 6: the keyed replica as a malicious forwarder
+# ----------------------------------------------------------------------
+def run_spire_malicious_forwarder(testbed, attacker: Attacker,
+                                  report: Optional[ScenarioReport] = None,
+                                  duration: float = 4.0) -> ScenarioReport:
+    """One step past the excursion's fairness attack: with root and the
+    keys of one replica, make its external daemon substitute the payload
+    of everything it forwards between the other replicas and the
+    proxies/HMIs.  The overlay's claim is that no single compromised
+    daemon can block or alter communication between correct ones: every
+    forged copy must be rejected where it lands, every update submitted
+    meanwhile must still confirm, and a breaker command must still
+    round-trip."""
+    report = report or ScenarioReport("spire-malicious-forwarder")
+    sim = testbed.sim
+    spire = testbed.spire
+    victim_host = spire.replica_hosts[spire.prime_config.replica_names[-1]]
+    daemon = spire.external.daemon_on(victim_host)
+    attacker.grant_foothold(victim_host, "root")
+    forged = {"count": 0}
+
+    def forge(payload):
+        forged["count"] += 1
+        return {"forged-by": attacker.name}
+
+    def rejected() -> int:
+        return sum(d.stats_dropped_sig
+                   for d in spire.external.daemons.values())
+
+    clients = [proxy.client for proxy in spire.proxies] \
+        + [hmi.client for hmi in spire.hmis]
+    rejected_before = rejected()
+    first = {client.client_id: client.next_seq for client in clients}
+    substitute_payloads(attacker, daemon, forge)
+    sim.run(until=sim.now + duration)
+    last = {client.client_id: client.next_seq for client in clients}
+    health = check_spire_health(testbed)
+    # The excursion ends as it began (stage a): with the daemon gone,
+    # every forged copy still in flight lands and is counted.
+    stop_spines_daemon(attacker, daemon)
+    sim.run(until=sim.now + 0.5)
+    accepted = forged["count"] - (rejected() - rejected_before)
+    unconfirmed = sorted(
+        (client.client_id, seq) for client in clients
+        for seq in range(first[client.client_id], last[client.client_id])
+        if seq not in client.confirmed)
+    report.add("substitute payloads as a keyed forwarder (root + source)",
+               accepted > 0 or bool(unconfirmed) or not health["ok"],
+               f"{forged['count']} forged copies sent, {accepted} accepted "
+               f"by a correct daemon; {len(unconfirmed)} update(s) never "
+               f"confirmed; SCADA operation "
+               f"{'unaffected' if health['ok'] else 'DISRUPTED'}",
+               forged=forged["count"], accepted=accepted,
+               unconfirmed=unconfirmed, health=health)
     return report
 
 

@@ -43,7 +43,9 @@ MAGIC = b"SPIRESNAP"
 #: 2: heap entries are ``(time, seq, handle, fn, args)``.
 #: 3: every world is a ``repro.core.wiring.Deployment``; campaign cells
 #: lost ``kind`` / ``planned_commands``.
-SCHEMA_VERSION = 3
+#: 4: a Spines daemon holds its network and a per-source map of seen
+#: sequence numbers; overlay messages carry a route set.
+SCHEMA_VERSION = 4
 
 
 class SnapshotError(RuntimeError):

@@ -96,7 +96,8 @@ class SpinesDaemon(Process):
         self.next_hop: Dict[str, str] = {}                # dst daemon -> neighbor
         self.sessions: Dict[int, SpinesSession] = {}
         self._seq = 0
-        self._flood_seen: Set[Tuple[str, int]] = set()
+        # src daemon -> seq -> digest of the signed view first seen
+        self._flood_seen: Dict[str, Dict[int, bytes]] = {}
         self._reliable_pending: Dict[Tuple[str, int], _ReliableState] = {}
         self._delivered_reliable: Set[Tuple[str, int]] = set()
         # Per-source fairness accounting (window start, count).
@@ -199,12 +200,21 @@ class SpinesDaemon(Process):
                                               body=message), self.now)
 
     def _flood(self, message: OverlayMessage, arrived_from: Optional[str]) -> None:
-        key = message.flood_key()
-        if key in self._flood_seen:
+        seen = self._flood_seen.get(message.src_daemon)
+        if seen is None:
+            seen = self._flood_seen[message.src_daemon] = {}
+        digest = message.view_digest()
+        first = seen.get(message.seq)
+        if first is not None:
+            if first != digest:
+                # Two bodies under one (src_daemon, seq): only the
+                # source's own key can sign that.
+                self.metrics.counter("spines.equivocation_seen",
+                                     component=self.name).inc()
             return
-        self._flood_seen.add(key)
-        if len(self._flood_seen) > FLOOD_CACHE_LIMIT:
-            self._flood_seen.clear()  # coarse cache reset; dups re-dropped upstream
+        if len(seen) >= FLOOD_CACHE_LIMIT:
+            seen.clear()    # coarse cache reset; dups re-dropped upstream
+        seen[message.seq] = digest
         if not self._fairness_admit(message.src_daemon):
             self.stats_dropped_fairness += 1
             self._metric_dropped.inc()
@@ -291,7 +301,8 @@ class SpinesDaemon(Process):
             # here — the vulnerable code path the red team patched lives
             # in the routed (non-IT) mode and is disabled when the
             # daemon runs intrusion-tolerant (Section IV-B).
-            first_copy = message.flood_key() not in self._flood_seen
+            first_copy = message.seq not in self._flood_seen.get(
+                message.src_daemon, ())
             if first_copy and message.dst[0] in ("*", self.name):
                 self._deliver_local(message)
             # Continue flooding so all daemons share the dedup view (and
@@ -383,7 +394,7 @@ class SpinesDaemon(Process):
         if session is not None:
             session.stats.retransmissions += 1
         # Retransmissions must bypass the flood dedup cache.
-        self._flood_seen.discard(key)
+        self._flood_seen.get(key[0], {}).pop(key[1], None)
         self._dispatch(state.message)
         state.timer = self.call_later(
             RELIABLE_TIMEOUT * (state.retries + 1), self._reliable_retry, key)

@@ -3,25 +3,39 @@
 Spines offers its clients several dissemination services; the two that
 matter for Spire are:
 
-* ``RELIABLE`` — routed point-to-point delivery with end-to-end
+* ``RELIABLE`` — point-to-point delivery with end-to-end
   acknowledgment and retransmission (used for ordinary traffic).
 * ``IT_FLOOD`` — the intrusion-tolerant mode: source-signed,
-  per-source-sequenced messages disseminated by authenticated flooding
-  with per-source fairness, so no single compromised daemon can block
-  or starve communication between correct daemons (Obenshain et al.,
-  ICDCS 2016).
+  per-source-sequenced messages disseminated over a source-chosen
+  *route set* with per-source fairness, so no single compromised daemon
+  can block, alter or starve communication between correct daemons
+  (Obenshain et al., ICDCS 2016).
 
 ``BEST_EFFORT`` is included for completeness (monitoring traffic).
+
+Route sets
+----------
+Every intrusion-tolerant message names, under its source signature, the
+overlay edges it may travel: ``routes`` is either ``None`` — *all
+edges*, i.e. constrained flooding — or K node-disjoint source →
+destination paths (K = f + 1, so f compromised forwarders cannot cut
+every path).  A daemon forwards a message on every edge of the set that
+leaves it, except the one it arrived on, and drops a copy that reaches
+it over an edge outside the set.  The signature also covers the digest
+of the payload, so what a destination delivers is what the source sent:
+a keyed forwarder that swaps the payload produces a message no correct
+daemon accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+import hashlib
+from dataclasses import dataclass
+from typing import Any, List, Optional, Tuple
 
 from repro.crypto.auth import Mac, Signature
 from repro.crypto.serialize import (
-    Canonical, FrozenViewMixin, cache_enabled, canonical_bytes,
+    FrozenViewMixin, UnserializableError, cache_enabled, payload_digest,
 )
 from repro.net.packet import payload_size
 
@@ -36,6 +50,10 @@ OVERLAY_HEADER = 40
 # An overlay address: (daemon name, client port).
 OverlayAddress = Tuple[str, int]
 
+# A route set: K node-disjoint paths, each the daemon names from source
+# to destination.  ``None`` in its place means every overlay edge.
+RouteSet = Tuple[Tuple[str, ...], ...]
+
 
 @dataclass
 class OverlayMessage(FrozenViewMixin):
@@ -44,7 +62,7 @@ class OverlayMessage(FrozenViewMixin):
     The source-signed fields (``signed_view``) are frozen at
     origination; mutable transit bookkeeping (``hop_count``, the
     attached signature) is excluded from the view, so the encode-once
-    cache stays valid while the message floods.
+    cache stays valid while the message travels.
     """
 
     src: OverlayAddress
@@ -53,9 +71,11 @@ class OverlayMessage(FrozenViewMixin):
     payload: Any
     seq: int                       # per-source-daemon sequence number
     src_daemon: str
-    signature: Optional[Signature] = None   # IT_FLOOD source signature
+    signature: Optional[Signature] = None   # source signature (IT mode)
     hop_count: int = 0
     sent_at: float = 0.0           # origination time (telemetry only)
+    routes: Optional[RouteSet] = None       # None: every overlay edge
+    repeats: Optional[int] = None  # seq this message retransmits
 
     def wire_size(self) -> int:
         # The payload is frozen at origination, so its recursive size is
@@ -71,27 +91,48 @@ class OverlayMessage(FrozenViewMixin):
     def flood_key(self) -> Tuple[str, int]:
         return (self.src_daemon, self.seq)
 
-    def link_binding(self) -> Any:
-        """What a link MAC binds of this message (see
-        :func:`_digest_fields`).  Every daemon of a flood wraps the same
-        message object in its own envelope, so the binding is encoded
-        once per message rather than once per flood step."""
-        caching = cache_enabled()
-        binding = self.__dict__.get("_link_binding") if caching else None
-        if binding is None:
-            binding = {"view": self.view_digest(),
-                       "payload_id": id(self.payload)}
-            if caching:
-                binding = self.__dict__["_link_binding"] = Canonical(
-                    canonical_bytes(binding))
-        return binding
+    def reliable_seq(self) -> int:
+        """The sequence number the reliable service delivers and
+        acknowledges under: a retransmission is a new message to
+        forward (own ``seq``, own route set) that ``repeats`` an
+        earlier one."""
+        return self.seq if self.repeats is None else self.repeats
+
+    def successors(self, daemon: str) -> List[str]:
+        """Where the route set leads from ``daemon``: its next hop on
+        every path it lies on (K at the source, one at a relay, none at
+        the destination or off the set)."""
+        return [path[path.index(daemon) + 1] for path in self.routes
+                if daemon in path[:-1]]
+
+    def link_binding(self) -> bytes:
+        """What a link MAC binds of this message: the digest of the
+        signed view, payload digest included — computed for the source
+        signature and cached on the message, so a forwarding step does
+        not encode the body again."""
+        return self.view_digest()
 
     #: The fields covered by the source signature.
-    VIEW_KEYS = ("src", "dst", "service", "seq", "src_daemon")
+    VIEW_KEYS = ("src", "dst", "service", "seq", "src_daemon", "repeats",
+                 "routes", "payload")
 
     def view_values(self) -> tuple:
+        routes = self.routes
         return (list(self.src), list(self.dst), self.service, self.seq,
-                self.src_daemon)
+                self.src_daemon, self.repeats,
+                None if routes is None else [list(path) for path in routes],
+                _body_digest(self.payload))
+
+
+def _body_digest(payload: Any) -> bytes:
+    """SHA-256 of the payload's canonical encoding (its signed view for
+    a protocol message: encoded once, shared with the payload's own
+    signature), or of its ``repr`` for the few payload types outside
+    the canonical value space."""
+    try:
+        return payload_digest(payload)
+    except UnserializableError:
+        return hashlib.sha256(repr(payload).encode()).digest()
 
 
 @dataclass
@@ -104,9 +145,7 @@ class LinkEnvelope(FrozenViewMixin):
     The envelope is immutable once the MAC is attached, so the MAC view
     is a frozen view: the sender encodes it once per fan-out (one
     envelope is shared by every neighbor of a flood step) and each
-    receiver's ``verify_mac`` is a cached read of the same bytes.
-    Tampering replaces objects (changing ``payload_id``), which forces a
-    new envelope and therefore a fresh MAC that cannot validate."""
+    receiver's ``verify_mac`` is a cached read of the same bytes."""
 
     sender: str
     kind: str                      # "data" | "ack"
@@ -136,15 +175,12 @@ def _digest_fields(body: Any) -> Any:
     """A canonicalizable projection of the envelope body.
 
     ``OverlayMessage`` payloads are arbitrary Python objects (Prime
-    messages, Modbus frames...).  The MAC covers the routed fields
-    (``src``, ``dst``, ``service``, ``seq``, ``src_daemon``) through the
-    message's own ``view_digest()`` — SHA-256 over exactly those fields,
-    already paid for by the source signature and cached on the message,
-    so a flood step does not encode them again — plus the object
-    identity of the payload via ``id``.  That is sufficient for the
-    simulation because payload objects are never mutated in flight
-    except through the explicit tamper APIs, which replace the object
-    (changing its id) and therefore break the MAC.
+    messages, Modbus frames...).  The MAC covers the message through
+    its ``link_binding()``: SHA-256 over the source-signed view —
+    addresses, sequence, route set and the payload's digest — so
+    nothing about the binding depends on where an object lives in
+    memory, and an envelope that crossed a snapshot verifies like any
+    other.
     """
     if isinstance(body, OverlayMessage):
         return body.link_binding()

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Simulator
 from repro.crypto import (
-    Canonical, KeyStore, Mac, Signature, UnserializableError, cache_stats,
+    KeyStore, Mac, Signature, UnserializableError, cache_stats,
     canonical_bytes, mac_payload, reset_cache_stats, set_cache_enabled,
     sign_payload, verify_mac, verify_signature,
 )
@@ -216,14 +216,6 @@ def test_unknown_types_raise_every_time(value):
             ladder_bytes(value)
 
 
-@given(values)
-def test_canonical_splices_as_the_value_it_encodes(value):
-    kept = Canonical(canonical_bytes(value))
-    assert canonical_bytes(kept) == canonical_bytes(value)
-    assert canonical_bytes({"a": kept, "b": [kept, 1]}) == \
-        canonical_bytes({"a": value, "b": [value, 1]})
-
-
 # ---------------------------------------------------------------------------
 # Layout-encoded view_bytes() == canonical_bytes(signed_view())
 # ---------------------------------------------------------------------------
@@ -240,7 +232,11 @@ overlay_messages = st.builds(
     OverlayMessage, src=addresses, dst=addresses,
     service=st.sampled_from(["best-effort", "reliable", IT_FLOOD]),
     payload=ops, seq=st.integers(0, 2**40), src_daemon=names,
-    hop_count=st.integers(0, 9))
+    hop_count=st.integers(0, 9),
+    repeats=st.one_of(st.none(), st.integers(0, 2**40)),
+    routes=st.one_of(st.none(), st.lists(
+        st.lists(names, min_size=2, max_size=4).map(tuple),
+        max_size=3).map(tuple)))
 client_updates = st.builds(
     ClientUpdate, client_id=names, client_seq=st.integers(0, 2**40), op=ops,
     reply_to=st.one_of(st.none(), addresses),
@@ -272,18 +268,6 @@ views = st.one_of(overlay_messages, client_updates, pre_prepares, directives,
                   signed_prime_messages, envelopes)
 
 
-def parent_view(message) -> dict:
-    """``signed_view()`` as the parent built it: the ladder has never
-    heard of :class:`Canonical`, so an envelope's kept body binding is
-    written out as the dict it encodes."""
-    view = message.signed_view()
-    body = getattr(message, "body", None)
-    if isinstance(message, LinkEnvelope) and isinstance(body, OverlayMessage):
-        view["body_digest_fields"] = {"view": body.view_digest(),
-                                      "payload_id": id(body.payload)}
-    return view
-
-
 @given(views)
 def test_layout_view_matches_generic_encoding(message):
     before = cache_stats()
@@ -291,7 +275,7 @@ def test_layout_view_matches_generic_encoding(message):
     again = message.view_bytes()
     after = cache_stats()
     oracle = canonical_bytes(message.signed_view())
-    assert encoded == again == oracle == ladder_bytes(parent_view(message))
+    assert encoded == again == oracle == ladder_bytes(message.signed_view())
     assert message.view_digest() == hashlib.sha256(oracle).digest()
     # One miss for the first call on this object, one hit for the next.
     # A body that keeps its own encoding (an envelope's routed message,
@@ -314,18 +298,43 @@ def test_layout_view_matches_generic_encoding(message):
 def test_link_binding_is_encoded_once_per_message_and_splices():
     message = OverlayMessage(src=("a", 1), dst=("*", 2), service=IT_FLOOD,
                              payload={"op": 1}, seq=3, src_daemon="a")
-    plain = {"view": message.view_digest(), "payload_id": id(message.payload)}
     binding = message.link_binding()
-    assert binding is message.link_binding()
-    assert canonical_bytes(binding) == canonical_bytes(plain)
+    # The digest the source signature already paid for — which covers
+    # the payload — and nothing that depends on an object's address.
+    assert binding is message.link_binding() is message.view_digest()
+    assert binding == hashlib.sha256(ladder_bytes(dict(
+        message.signed_view(),
+        payload=hashlib.sha256(ladder_bytes({"op": 1})).digest()))).digest()
     first = LinkEnvelope(sender="a", kind="data", body=message)
     second = LinkEnvelope(sender="b", kind="data", body=message)
     for envelope in (first, second):
         assert envelope.view_bytes() == ladder_bytes({
             "sender": envelope.sender, "kind": "data",
-            "body_size": message.wire_size(), "body_digest_fields": plain})
+            "body_size": message.wire_size(), "body_digest_fields": binding})
     set_cache_enabled(False)
-    assert message.link_binding() == plain
+    assert message.link_binding() == binding
+
+
+@pytest.mark.parametrize("caching", [True, False])
+def test_source_signature_covers_the_payload(caching):
+    """Sign one message, verify the signature against its twin carrying
+    another payload: ``True`` for as long as the signed view stopped at
+    the addresses (the seed's hole, ROADMAP 1a)."""
+    set_cache_enabled(caching)
+    ring = _golden_ring()
+    fields = dict(src=("d1", 7000), dst=("d2", 7100), service=IT_FLOOD,
+                  seq=41, src_daemon="d1")
+    genuine = OverlayMessage(payload={"breaker": "B57", "close": True},
+                             **fields)
+    forged = OverlayMessage(payload={"breaker": "B57", "close": False},
+                            **fields)
+    signature = sign_payload(ring, "replica1", genuine)
+    assert verify_signature(ring, signature, genuine)
+    assert not verify_signature(ring, signature, forged)
+    # ... nor the route set it was signed to travel.
+    rerouted = OverlayMessage(payload=genuine.payload,
+                              routes=(("d1", "d9", "d2"),), **fields)
+    assert not verify_signature(ring, signature, rerouted)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from repro.redteam import Attacker
 from repro.redteam.scenarios import (
     check_commercial_health, check_spire_health,
     run_commercial_enterprise_pivot, run_commercial_ops_mitm,
-    run_spire_enterprise_probe, run_spire_excursion, run_spire_ops_attacks,
+    run_spire_enterprise_probe, run_spire_excursion,
+    run_spire_malicious_forwarder, run_spire_ops_attacks,
 )
 
 
@@ -218,3 +219,28 @@ def test_mana_observed_the_attacks(experiment):
     assert len(testbed.mana["MANA-3"].alerts) > 0      # spire ops (DoS etc.)
     incidents = testbed.mana["MANA-2"].correlator.incidents
     assert incidents and incidents[0].peak_score > 1.0
+
+
+# ---------------------------------------------------------------------------
+# Stage 6 (own testbed: the forwarder stays compromised to the end)
+# ---------------------------------------------------------------------------
+def test_keyed_forwarder_cannot_substitute_payloads():
+    """A keyed replica's external daemon re-wraps everything it relays
+    around a payload of its own, genuine source signature attached.
+    Every forged copy must die at the next hop, every update must still
+    confirm and a breaker command must still round-trip (under
+    whole-overlay flooding with an unsigned payload, forged copies were
+    accepted and first-copy-wins dedup then dropped the genuine ones)."""
+    sim = Simulator(seed=21)
+    testbed = build_redteam_testbed(sim)
+    testbed.start_cyclers(interval=2.0)
+    sim.run(until=3.0)
+    attacker = Attacker(sim, "redteam",
+                        testbed.place_attacker("ops-spire", "rt-spire"))
+    report = run_spire_malicious_forwarder(testbed, attacker)
+    stage, = report.stages
+    assert stage.observations["forged"] > 0
+    assert stage.observations["accepted"] == 0
+    assert stage.observations["unconfirmed"] == []
+    assert stage.observations["health"]["ok"]
+    assert not stage.attacker_goal_achieved

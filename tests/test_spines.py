@@ -1,5 +1,7 @@
 """Tests for the Spines overlay: delivery, authentication, IT mode."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.crypto import KeyStore
@@ -225,3 +227,32 @@ def test_reliable_retransmits_through_lossy_period(sim):
     sim.run(until=5.0)
     assert received == ["persistent"]
     assert src.stats.retransmissions >= 1
+
+
+def test_forwarder_on_the_short_path_cannot_swap_the_payload(sim):
+    """a - m - b is the short way round, a - x - y - b the long one, and
+    m — keyed, so its link MACs verify — swaps the payload of what it
+    relays, genuine source signature attached.  With the payload
+    outside the source signature, b took m's copy for the message and
+    dropped the genuine one arriving from y as a duplicate."""
+    lan, ks, hosts, overlay = build_overlay(sim, n=5, mesh=False)
+    a, b, m, x, y = names(overlay)
+    for edge in ((a, m), (m, b), (a, x), (x, y), (y, b)):
+        overlay.add_edge(*edge)
+    received = []
+    overlay.daemons[b].create_session(50, lambda src, p: received.append(p))
+    relay = overlay.daemons[m]
+    send_genuine = relay._send_envelope
+
+    def send_forged(neighbor, envelope, now):
+        forged = replace(envelope.body, payload="forged")
+        send_genuine(neighbor, LinkEnvelope(sender=m, kind="data",
+                                            body=forged), now)
+
+    relay._send_envelope = send_forged
+    sender = overlay.daemons[a].create_session(51, lambda src, p: None)
+    for dst in (b, "*"):
+        sender.send((dst, 50), "genuine", service=IT_FLOOD)
+    sim.run(until=1.0)
+    assert received == ["genuine", "genuine"]
+    assert overlay.daemons[b].stats_dropped_sig == 2
