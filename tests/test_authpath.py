@@ -369,7 +369,10 @@ def test_pad_memo_is_bounded_and_eviction_is_harmless():
 
 
 # ---------------------------------------------------------------------------
-# Golden tags, captured on the parent commit (b66b28d)
+# Golden tags, captured on the parent commit (b66b28d) — all but the
+# overlay message's source signature, re-captured by PR 21: its signed
+# view gained the payload's digest, the route set and ``repeats``.  The
+# other five do not involve an ``OverlayMessage`` and did not move.
 # ---------------------------------------------------------------------------
 def _golden_ring():
     store = KeyStore(root_secret=b"authpath-golden")
@@ -384,7 +387,7 @@ def test_golden_tags_are_byte_identical_to_the_parent():
         payload={"op": 1}, seq=41, src_daemon="d1")
     assert sign_payload(ring, "replica1", overlay) == Signature(
         "replica1", bytes.fromhex(
-            "ac5bb2656bada60256ef8bb38cbcc7e690761e7be02931b9a58cbcab691c9441"))
+            "71735046fb0c87de08698f95882ad83ed6ffea423f3876314d740cd6f72b728c"))
 
     update = ClientUpdate(
         client_id="proxy-a", client_seq=9,
