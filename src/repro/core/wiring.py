@@ -148,8 +148,11 @@ class Deployment:
     def _overlay(self, side: str, cidr: str, ports: int,
                  udp_port: int) -> Tuple[Lan, SpinesNetwork]:
         lan = Lan(self.sim, f"{self.prefix}-{side}", cidr, ports=ports)
+        # K = f + 1 node-disjoint paths per unicast: f compromised
+        # forwarders cannot sit on all of them.
         return lan, SpinesNetwork(self.sim, f"{self.prefix}.{side[:3]}", lan,
-                                  self.keystore, port=udp_port)
+                                  self.keystore, port=udp_port,
+                                  disjoint_paths=self.prime_config.f + 1)
 
     def harden(self) -> None:
         """Section III-B: static ARP/MAC/port maps on every LAN."""

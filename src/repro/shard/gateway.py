@@ -4,14 +4,18 @@ Each shard kernel's external Spines overlay gets one
 :class:`GatewayDaemon` — a stand-in for the inter-region Spines link
 that, in the monolithic world, connects this kernel's daemons to the
 rest of the deployment.  The gateway participates in the kernel-local
-flood like any daemon; flooded :class:`~repro.spines.messages.OverlayMessage`
+overlay like any daemon, one edge from its uplink: a message for a
+daemon this kernel's link-state view does not hold (or for every
+daemon) is signed to travel all edges, so it reaches the gateway, and
+:class:`~repro.spines.messages.OverlayMessage`
 bodies that *originate* in this kernel are exported (pickled at export
 time, so later local hop-count mutation is invisible) to the shard
 coordinator, which delivers them to peer kernels one lookahead later.
 
-Imported messages are re-flooded under the local network key via
-:meth:`import_message`; receiving daemons verify the *origin* daemon's
-source signature exactly as they would for a locally flooded message,
+Imported messages are forwarded under the local network key via
+:meth:`import_message` — along every edge, as their source signed
+them; receiving daemons verify the *origin* daemon's source signature
+exactly as they would for a locally originated message,
 so end-to-end authentication crosses the process boundary intact (key
 material is derivable in every kernel — see
 :class:`~repro.crypto.keys.KeyStore` derived mode).  Hop-by-hop
@@ -67,11 +71,11 @@ class GatewayDaemon(SpinesDaemon):
     def import_message(self, message: OverlayMessage) -> None:
         """Inject a message exported by a peer kernel's gateway.
 
-        Re-floods under this kernel's network key; ``_flood`` dedups by
-        the globally-unique ``(src_daemon, seq)`` flood key, and the
+        Forwards it under this kernel's network key; ``_forward`` dedups
+        by the globally-unique ``(src_daemon, seq)`` flood key, and the
         imported message's source daemon is never local to this kernel,
         so import loops cannot form (this gateway never re-exports it:
         its source is not in ``_local_sources``).
         """
         if self._running:
-            self._flood(message, arrived_from=None)
+            self._forward(message, arrived_from=None)

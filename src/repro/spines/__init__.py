@@ -3,7 +3,10 @@
 Reproduces the properties of the Spines overlay that the deployment
 relied on: hop-by-hop authenticated/encrypted daemon links, client
 sessions, reliable delivery, and an intrusion-tolerant dissemination
-mode based on source-signed flooding with per-source fairness.
+mode in which every message travels a source-signed route set — K = f +
+1 node-disjoint paths for a unicast, every edge (constrained flooding)
+for multicast and wherever K disjoint paths are not on offer — with
+per-source fairness.
 """
 
 from repro.spines.daemon import SpinesDaemon, SpinesSession

@@ -3,10 +3,24 @@
 One daemon runs per participating host.  Daemons authenticate every
 hop-by-hop transmission under the overlay network's symmetric key, so a
 process without the key — the red team's recompiled daemon — cannot
-join or disrupt the overlay.  In intrusion-tolerant mode, client data
-is disseminated by source-signed flooding with per-source fairness
-(token buckets + dedup), bounding the damage a *keyed but malicious*
-member can do to other flows.
+join or disrupt the overlay.
+
+In intrusion-tolerant mode there is one dissemination rule: *a message
+carries a source-signed route set, and a daemon forwards it on every
+edge of that set that leaves it, except the one it arrived on*
+(:meth:`SpinesDaemon._forward`).  The source picks the set from its
+network's link-state view: K = f + 1 node-disjoint paths for a unicast,
+so f compromised forwarders cannot cut every copy, and *all edges* —
+constrained flooding — wherever that is not on offer: overlay multicast
+(``("*", port)``), a pair the view connects by fewer than K disjoint
+paths, a destination the view does not contain (a peer shard's daemon
+behind a gateway, or a daemon with no network at all), and every
+RELIABLE retransmission.  Relays verify the hop MAC and the source
+signature (which covers the payload's digest and the route set), drop
+copies that arrive off the set, dedup on ``(src_daemon, seq)`` and
+charge the source's fairness budget (token buckets), bounding the
+damage a *keyed but malicious* member can do to other flows; the
+destination delivers the first valid copy.
 
 The daemon exposes a client session API used by Prime replicas, the
 SCADA proxies, and the HMI.
@@ -14,7 +28,7 @@ SCADA proxies, and the HMI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.crypto.auth import (
@@ -24,7 +38,7 @@ from repro.net.host import Host
 from repro.sim.process import Process
 from repro.spines.messages import (
     AckBody, BEST_EFFORT, IT_FLOOD, LinkEnvelope, OverlayAddress,
-    OverlayMessage, RELIABLE, SessionStats,
+    OverlayMessage, RELIABLE, RouteSet, SessionStats,
 )
 
 RELIABLE_TIMEOUT = 0.2
@@ -81,8 +95,13 @@ class SpinesDaemon(Process):
         host: host machine this daemon runs on.
         port: UDP port for daemon-to-daemon traffic.
         network_key_id: symmetric key id authenticating this overlay.
-        intrusion_tolerant: select IT (flooding) or routed operation for
-            client data.
+        intrusion_tolerant: select IT (source-signed route sets) or
+            routed operation for client data.
+
+    ``network`` is the :class:`~repro.spines.overlay.SpinesNetwork` the
+    daemon was added to — its link-state view — or ``None`` for a
+    daemon started outside any (the red team's own build), which can
+    only flood to the neighbours it was told about.
     """
 
     def __init__(self, sim, name: str, host: Host, port: int,
@@ -92,8 +111,8 @@ class SpinesDaemon(Process):
         self.port = port
         self.network_key_id = network_key_id
         self.intrusion_tolerant = intrusion_tolerant
+        self.network = None
         self.neighbors: Dict[str, Tuple[str, int]] = {}   # name -> (ip, port)
-        self.next_hop: Dict[str, str] = {}                # dst daemon -> neighbor
         self.sessions: Dict[int, SpinesSession] = {}
         self._seq = 0
         # src daemon -> seq -> digest of the signed view first seen
@@ -106,6 +125,7 @@ class SpinesDaemon(Process):
         self.stats_dropped_auth = 0
         self.stats_dropped_fairness = 0
         self.stats_dropped_sig = 0
+        self.stats_dropped_off_route = 0
         metrics = sim.metrics
         self._metric_forwarded = metrics.counter("spines.forwarded",
                                                  component=name)
@@ -132,9 +152,6 @@ class SpinesDaemon(Process):
     def remove_neighbor(self, name: str) -> None:
         self.neighbors.pop(name, None)
 
-    def set_routes(self, next_hop: Dict[str, str]) -> None:
-        self.next_hop = dict(next_hop)
-
     # ------------------------------------------------------------------
     # Client API
     # ------------------------------------------------------------------
@@ -155,16 +172,17 @@ class SpinesDaemon(Process):
         message = OverlayMessage(
             src=session.address, dst=dst, service=service, payload=payload,
             seq=self._seq, src_daemon=self.name, sent_at=self.now,
+            routes=self._route_set(dst[0]),
         )
         if service == IT_FLOOD or (self.intrusion_tolerant and service == RELIABLE):
             # In IT mode all client data is source-signed.  Signing the
             # message object populates the encode-once cache every
-            # flooding daemon's verification then hits.
+            # forwarding daemon's verification then hits.
             message.signature = sign_payload(
                 self.host.key_ring, self.name, message)
         if service == RELIABLE:
             state = _ReliableState(message=message)
-            key = message.flood_key()
+            key = (self.name, message.seq)
             self._reliable_pending[key] = state
             state.timer = self.call_later(
                 RELIABLE_TIMEOUT, self._reliable_retry, key)
@@ -174,23 +192,26 @@ class SpinesDaemon(Process):
     # ------------------------------------------------------------------
     # Dissemination
     # ------------------------------------------------------------------
+    def _route_set(self, dst_daemon: str) -> Optional[RouteSet]:
+        """The route set this daemon signs into a message for
+        ``dst_daemon``: K disjoint paths when its network's view has
+        them, otherwise ``None`` — every edge."""
+        if (dst_daemon == "*" or self.network is None
+                or not self.intrusion_tolerant):
+            return None
+        return self.network.route_set(self.name, dst_daemon)
+
     def _dispatch(self, message: OverlayMessage) -> None:
-        if message.dst[0] == "*":
-            # Overlay multicast: deliver at every daemon (including the
-            # source).  Only meaningful with flooding dissemination.
-            self._deliver_local(message)
-            self._flood(message, arrived_from=None)
-            return
         if message.dst[0] == self.name:
             self._deliver_local(message)
-            return
-        if self.intrusion_tolerant:
-            self._flood(message, arrived_from=None)
+        elif self.intrusion_tolerant or message.dst[0] == "*":
+            self._forward(message, arrived_from=None)
         else:
             self._route(message)
 
     def _route(self, message: OverlayMessage) -> None:
-        hop = self.next_hop.get(message.dst[0])
+        hop = None if self.network is None else self.network.next_hop(
+            self.name, message.dst[0])
         if hop is None or hop not in self.neighbors:
             session = self.sessions.get(message.src[1])
             if session is not None and message.src_daemon == self.name:
@@ -199,7 +220,11 @@ class SpinesDaemon(Process):
         self._send_envelope(hop, LinkEnvelope(sender=self.name, kind="data",
                                               body=message), self.now)
 
-    def _flood(self, message: OverlayMessage, arrived_from: Optional[str]) -> None:
+    def _forward(self, message: OverlayMessage,
+                 arrived_from: Optional[str]) -> None:
+        """The dissemination rule: deliver the first copy if it is for
+        this daemon, and send it on along every edge of its route set
+        that leaves here, except the one it arrived on."""
         seen = self._flood_seen.get(message.src_daemon)
         if seen is None:
             seen = self._flood_seen[message.src_daemon] = {}
@@ -215,16 +240,23 @@ class SpinesDaemon(Process):
         if len(seen) >= FLOOD_CACHE_LIMIT:
             seen.clear()    # coarse cache reset; dups re-dropped upstream
         seen[message.seq] = digest
+        if message.dst[0] in ("*", self.name):
+            # Multicast delivers at every daemon, the source included.
+            self._deliver_local(message)
         if not self._fairness_admit(message.src_daemon):
             self.stats_dropped_fairness += 1
             self._metric_dropped.inc()
             return
+        if message.routes is None:
+            targets = self.neighbors
+        else:
+            targets = message.successors(self.name)
         # One envelope (and one MAC) covers the whole fan-out: the MAC
         # depends on (sender, kind, body) but not on the receiving
         # neighbor, and the envelope is immutable once MACed.
         envelope = LinkEnvelope(sender=self.name, kind="data", body=message)
         now = self.now
-        for neighbor in self.neighbors:
+        for neighbor in targets:
             if neighbor != arrived_from:
                 self._send_envelope(neighbor, envelope, now)
 
@@ -301,13 +333,13 @@ class SpinesDaemon(Process):
             # here — the vulnerable code path the red team patched lives
             # in the routed (non-IT) mode and is disabled when the
             # daemon runs intrusion-tolerant (Section IV-B).
-            first_copy = message.seq not in self._flood_seen.get(
-                message.src_daemon, ())
-            if first_copy and message.dst[0] in ("*", self.name):
-                self._deliver_local(message)
-            # Continue flooding so all daemons share the dedup view (and
-            # so multicast reaches everyone); _flood dedups internally.
-            self._flood(message, arrived_from=envelope.sender)
+            if (message.routes is not None and self.name
+                    not in message.successors(envelope.sender)):
+                # A copy on an edge the source did not sign for.
+                self.stats_dropped_off_route += 1
+                self._metric_dropped.inc()
+                return
+            self._forward(message, arrived_from=envelope.sender)
         else:
             # Routed mode: the attacker-patched code path is live here.
             if self.patched_exploit is not None:
@@ -322,7 +354,7 @@ class SpinesDaemon(Process):
             self._ack_in(message.payload)
             return
         if message.service == RELIABLE:
-            key = message.flood_key()
+            key = (message.src_daemon, message.reliable_seq())
             self._send_ack(message)
             if key in self._delivered_reliable:
                 return
@@ -351,23 +383,25 @@ class SpinesDaemon(Process):
     # Reliable service: end-to-end acks
     # ------------------------------------------------------------------
     def _send_ack(self, message: OverlayMessage) -> None:
+        ack = AckBody(src_daemon=message.src_daemon,
+                      seq=message.reliable_seq())
         if message.src_daemon == self.name:
-            self._ack_in(AckBody(src_daemon=message.src_daemon, seq=message.seq))
+            self._ack_in(ack)
             return
-        ack = AckBody(src_daemon=message.src_daemon, seq=message.seq)
         if self.intrusion_tolerant:
-            # Acks ride the flood as a tiny overlay message to the source.
+            # Acks travel as a tiny overlay message to the source.
             self._seq += 1
             wrapper = OverlayMessage(
                 src=(self.name, 0), dst=(message.src_daemon, -1),
                 service=BEST_EFFORT, payload=ack, seq=self._seq,
                 src_daemon=self.name,
+                routes=self._route_set(message.src_daemon),
                 )
             wrapper.signature = sign_payload(
                 self.host.key_ring, self.name, wrapper)
-            self._flood(wrapper, arrived_from=None)
-        else:
-            hop = self.next_hop.get(message.src_daemon)
+            self._forward(wrapper, arrived_from=None)
+        elif self.network is not None:
+            hop = self.network.next_hop(self.name, message.src_daemon)
             if hop is not None:
                 self._send_envelope(hop, LinkEnvelope(sender=self.name,
                                                       kind="ack", body=ack),
@@ -393,9 +427,17 @@ class SpinesDaemon(Process):
         session = self.sessions.get(state.message.src[1])
         if session is not None:
             session.stats.retransmissions += 1
-        # Retransmissions must bypass the flood dedup cache.
-        self._flood_seen.get(key[0], {}).pop(key[1], None)
-        self._dispatch(state.message)
+        # A retransmission takes every edge: whatever swallowed the
+        # first copies may sit on all K of its paths.  Its own sequence
+        # number gets it past the forwarding dedup of daemons that saw
+        # an earlier copy; delivery dedups on the one it repeats.
+        self._seq += 1
+        retry = replace(state.message, seq=self._seq, repeats=key[1],
+                        routes=None, hop_count=0)
+        if retry.signature is not None:
+            retry.signature = sign_payload(self.host.key_ring, self.name,
+                                           retry)
+        self._dispatch(retry)
         state.timer = self.call_later(
             RELIABLE_TIMEOUT * (state.retries + 1), self._reliable_retry, key)
 
@@ -407,10 +449,13 @@ class SpinesDaemon(Process):
     # Lifecycle (red-team/recovery actions)
     # ------------------------------------------------------------------
     def stop_daemon(self) -> None:
-        """Stop the daemon (e.g. the red team killing the process)."""
+        """Stop the daemon (e.g. the red team killing the process).
+        Its neighbours' link-state view loses it."""
         self.log("spines.lifecycle", "daemon stopped")
         self.host.udp_unbind(self.port)
         self.shutdown()
+        if self.network is not None:
+            self.network.recompute_routes()
 
     def start_daemon(self) -> None:
         """Restart a previously stopped daemon."""
@@ -418,3 +463,5 @@ class SpinesDaemon(Process):
         self.host.udp_bind(self.port, self._udp_in)
         self._flood_seen.clear()
         self.log("spines.lifecycle", "daemon restarted")
+        if self.network is not None:
+            self.network.recompute_routes()

@@ -3,19 +3,28 @@
 A :class:`SpinesNetwork` groups the daemons of one overlay (Spire uses
 two: *internal* for replica-to-replica traffic, *external* for
 replica↔proxy/HMI traffic), manages their shared symmetric key, the
-overlay topology, and — for routed mode — shortest-path next-hop
-tables.
+overlay topology, and the link-state view every daemon routes from.
 
-Route computation is performed centrally and pushed to daemons.  In the
-real system each daemon runs a link-state protocol and converges to the
-same tables; the centralized stand-in produces identical steady-state
-routes and is re-run whenever topology changes (daemon crash/recovery,
-edge changes), modeling post-convergence behaviour.
+The view is held centrally.  In the real system each daemon runs a
+link-state protocol and converges to the same picture; the centralized
+stand-in models post-convergence behaviour: a topology change (edge
+added or removed, daemon stopped or started) starts a new epoch, and
+the paths a daemon asks for — K node-disjoint paths for an
+intrusion-tolerant unicast, the shortest path's next hop in routed mode
+— are computed from the current epoch's adjacency the first time a
+``(source, destination)`` pair needs them and remembered until the next
+change.  Nothing is recomputed while a world is being wired.
+
+Topologies in the tree: the internal overlay is a full mesh of the
+replicas; a site's external overlay (the plant: 27 daemons, 54 edges)
+and each region of a federated grid are a ring plus chords
+(:meth:`SpinesNetwork.connect_sparse`), with region leads hanging off
+the core by a single uplink.
 """
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.crypto.keys import KeyStore
@@ -24,6 +33,101 @@ from repro.net.host import Host
 from repro.net.lan import Lan
 from repro.sim.simulator import Simulator
 from repro.spines.daemon import SpinesDaemon
+from repro.spines.messages import RouteSet
+
+Adjacency = Dict[str, List[str]]
+
+
+def _max_disjoint_paths(adj: Adjacency, src: str, dst: str,
+                        k: int) -> List[Tuple[str, ...]]:
+    """Up to ``k`` node-disjoint ``src`` → ``dst`` paths by augmenting
+    paths over the unit-capacity graph in which every node but the two
+    ends is split into an entry and an exit half (``(name, 0)`` →
+    ``(name, 1)``) — the textbook reduction of vertex connectivity to
+    maximum flow, small enough for overlays of a few dozen daemons.
+    Searches are breadth-first, so a single path is a shortest one,
+    ties going to the neighbour ``adj`` lists first."""
+    flow: Set[Tuple[tuple, tuple]] = set()      # saturated arcs
+    source, sink = (src, 1), (dst, 1)
+
+    def arcs(node: tuple) -> List[tuple]:
+        name, half = node
+        if half == 0:
+            return [(name, 1)]
+        return [(neighbor, 1 if neighbor in (src, dst) else 0)
+                for neighbor in adj.get(name, ())]
+
+    for _ in range(k):
+        # Unit capacities: at most one unit enters any node but the
+        # sink, and the residual graph lets a search cancel it.
+        entered_from = {head: tail for tail, head in flow if head != sink}
+        parent = {source: None}
+        queue = deque([source])
+        while queue and sink not in parent:
+            node = queue.popleft()
+            targets = [target for target in arcs(node)
+                       if (node, target) not in flow]
+            if node in entered_from:
+                targets.append(entered_from[node])
+            for target in targets:
+                if target not in parent:
+                    parent[target] = node
+                    queue.append(target)
+        if sink not in parent:
+            break
+        node = sink
+        while parent[node] is not None:
+            if (node, parent[node]) in flow:
+                flow.discard((node, parent[node]))      # cancelled
+            else:
+                flow.add((parent[node], node))
+            node = parent[node]
+    following = {tail: head for tail, head in flow}
+    paths = []
+    for first in sorted(head for tail, head in flow if tail == source):
+        path, node = [src], first
+        while node != sink:
+            if node[1] == 1:
+                path.append(node[0])
+            node = following[node]
+        path.append(dst)
+        paths.append(tuple(path))
+    return paths
+
+
+def disjoint_paths(adj: Adjacency, src: str, dst: str,
+                   k: int) -> List[Tuple[str, ...]]:
+    """``min(k, connectivity)`` simple ``src`` → ``dst`` paths that
+    share no node but their ends, shortest first.
+
+    The first path is a shortest path whenever the rest can be found
+    around it — a copy sent along the set then arrives as early as a
+    flood's would — and the remaining ones are as many as maximum flow
+    finds once its interior is set aside.  Only when that shortest path
+    itself stands in the way of ``k`` disjoint ones (it crosses two
+    paths that would otherwise be disjoint) is the whole set taken from
+    maximum flow instead: tolerating ``k - 1`` bad forwarders comes
+    before the last hop of latency.  ``adj`` lists each node's
+    neighbours in the order ties are to be broken (sorted, in this
+    module); nothing here iterates a set or a dict of the caller's.
+    """
+    if src == dst:
+        return []
+    paths = _max_disjoint_paths(adj, src, dst, 1)
+    if k <= 1 or not paths:
+        return paths[:k]
+    first = paths[0]
+    interior = set(first[1:-1])
+    direct = {src, dst} if len(first) == 2 else None
+    around = {node: [n for n in neighbors
+                     if n not in interior and {node, n} != direct]
+              for node, neighbors in adj.items() if node not in interior}
+    paths += _max_disjoint_paths(around, src, dst, k - 1)
+    if len(paths) < k:
+        rival = _max_disjoint_paths(adj, src, dst, k)
+        if len(rival) > len(paths):
+            paths = rival
+    return sorted(paths, key=len)
 
 
 class SpinesNetwork:
@@ -37,22 +141,40 @@ class SpinesNetwork:
         keystore: deployment key authority (creates the network key).
         port: UDP port daemons bind (8100 internal, 8120 external in the
             deployed system).
-        intrusion_tolerant: run daemons in IT (flooding) mode.
+        intrusion_tolerant: run daemons in IT mode (source-signed route
+            sets) rather than routed mode.
+        disjoint_paths: K, the number of node-disjoint paths an IT-mode
+            unicast travels — ``f + 1`` to tolerate ``f`` compromised
+            forwarders.
     """
 
     def __init__(self, sim: Simulator, name: str, lan: Lan, keystore: KeyStore,
-                 port: int = 8100, intrusion_tolerant: bool = True):
+                 port: int = 8100, intrusion_tolerant: bool = True,
+                 disjoint_paths: int = 2):
         self.sim = sim
         self.name = name
         self.lan = lan
         self.keystore = keystore
         self.port = port
         self.intrusion_tolerant = intrusion_tolerant
+        self.disjoint_paths = disjoint_paths
         self.key_id = f"spines.{name}"
         if not keystore.has_symmetric(self.key_id):
             keystore.create_symmetric(self.key_id)
         self.daemons: Dict[str, SpinesDaemon] = {}
         self.edges: Set[Tuple[str, str]] = set()
+        # The current epoch's link-state view and the paths computed
+        # from it so far; both derived, both rebuilt on demand.
+        self._adjacency: Optional[Adjacency] = None
+        self._paths: Dict[Tuple[str, str, int], RouteSet] = {}
+
+    def __getstate__(self) -> dict:
+        # Like the verify memo, the path memo is a function of state a
+        # snapshot already holds: leave it behind.
+        state = dict(self.__dict__)
+        state["_adjacency"] = None
+        state["_paths"] = {}
+        return state
 
     # ------------------------------------------------------------------
     # Construction
@@ -85,6 +207,7 @@ class SpinesNetwork:
         daemon = make(self.sim, daemon_name, host, self.port,
                       self.key_id,
                       intrusion_tolerant=self.intrusion_tolerant)
+        daemon.network = self
         self.daemons[daemon_name] = daemon
         # Firewall allowance: daemons accept overlay traffic on their port.
         host.firewall.allow(INBOUND, "udp", local_port=self.port)
@@ -104,7 +227,8 @@ class SpinesNetwork:
         Deployed Spines overlays are sparse: flooding cost scales with
         the edge count, so a full mesh is wasteful beyond a handful of
         nodes.  A ring guarantees connectivity (and survives daemon
-        failures thanks to the chords); chords cut the flood diameter.
+        failures thanks to the chords); chords cut the diameter and
+        give every pair the disjoint paths K-path routing needs.
         """
         names = sorted(self.daemons)
         n = len(names)
@@ -138,50 +262,52 @@ class SpinesNetwork:
         self.recompute_routes()
 
     # ------------------------------------------------------------------
-    # Routing (routed mode)
+    # The link-state view
     # ------------------------------------------------------------------
-    def _adjacency(self) -> Dict[str, List[str]]:
-        adj: Dict[str, List[str]] = {name: [] for name in self.daemons}
-        # Sorted: edge-set iteration order is hash-seed dependent, and
-        # neighbor order tie-breaks equal-cost routes.
-        for a, b in sorted(self.edges):
-            if self.daemons[a].running and self.daemons[b].running:
-                adj[a].append(b)
-                adj[b].append(a)
-        return adj
-
     def recompute_routes(self) -> None:
-        """Recompute shortest-path next hops for every live daemon."""
+        """A topology change: the link-state view re-converges, so
+        every path computed from the old one is forgotten."""
         self.sim.metrics.counter("spines.route_recomputes",
                                  component=self.name).inc()
-        adj = self._adjacency()
-        for name, daemon in self.daemons.items():
-            if not daemon.running:
-                continue
-            daemon.set_routes(self._next_hops_from(name, adj))
+        self._adjacency = None
+        self._paths.clear()
 
-    def _next_hops_from(self, src: str,
-                        adj: Dict[str, List[str]]) -> Dict[str, str]:
-        dist: Dict[str, float] = {src: 0.0}
-        first_hop: Dict[str, str] = {}
-        heap: List[Tuple[float, str, Optional[str]]] = [(0.0, src, None)]
-        visited: Set[str] = set()
-        while heap:
-            d, node, hop = heapq.heappop(heap)
-            if node in visited:
-                continue
-            visited.add(node)
-            if hop is not None:
-                first_hop[node] = hop
-            for neighbor in adj.get(node, ()):
-                if neighbor in visited:
-                    continue
-                nd = d + 1.0
-                if nd < dist.get(neighbor, float("inf")):
-                    dist[neighbor] = nd
-                    heapq.heappush(
-                        heap, (nd, neighbor, hop if hop is not None else neighbor))
-        return first_hop
+    def _view(self) -> Adjacency:
+        adj = self._adjacency
+        if adj is None:
+            adj = self._adjacency = {name: [] for name in self.daemons}
+            # Sorted: edge-set iteration order is hash-seed dependent,
+            # and neighbor order tie-breaks equal-cost paths.
+            for a, b in sorted(self.edges):
+                if self.daemons[a].running and self.daemons[b].running:
+                    adj[a].append(b)
+                    adj[b].append(a)
+        return adj
+
+    def paths(self, src: str, dst: str, k: int) -> RouteSet:
+        """Up to ``k`` node-disjoint ``src`` → ``dst`` paths through
+        running daemons, shortest first (see :func:`disjoint_paths`);
+        empty when the view does not hold ``dst`` or cannot reach it."""
+        key = (src, dst, k)
+        found = self._paths.get(key)
+        if found is None:
+            found = self._paths[key] = tuple(disjoint_paths(
+                self._view(), src, dst, k))
+        return found
+
+    def route_set(self, src: str, dst: str) -> Optional[RouteSet]:
+        """The K node-disjoint paths an IT-mode unicast from ``src`` to
+        ``dst`` is signed to travel, or ``None`` — flood — when the view
+        offers fewer than K (a cut vertex between them, a destination
+        behind a gateway, a stopped daemon)."""
+        found = self.paths(src, dst, self.disjoint_paths)
+        return found if len(found) >= self.disjoint_paths else None
+
+    def next_hop(self, src: str, dst: str) -> Optional[str]:
+        """Routed mode: the neighbour of ``src`` on its shortest path
+        to ``dst``."""
+        found = self.paths(src, dst, 1)
+        return found[0][1] if found else None
 
     # ------------------------------------------------------------------
     # Convenience
@@ -194,8 +320,6 @@ class SpinesNetwork:
 
     def stop_daemon(self, name: str) -> None:
         self.daemons[name].stop_daemon()
-        self.recompute_routes()
 
     def start_daemon(self, name: str) -> None:
         self.daemons[name].start_daemon()
-        self.recompute_routes()
