@@ -256,3 +256,65 @@ def test_forwarder_on_the_short_path_cannot_swap_the_payload(sim):
     sim.run(until=1.0)
     assert received == ["genuine", "genuine"]
     assert overlay.daemons[b].stats_dropped_sig == 2
+
+
+def test_forwarder_cannot_strip_a_client_updates_own_signature():
+    """The client's daemon reaches every replica's external daemon in
+    two hops through m, and the first replica in three through x and y.
+    m — keyed — strips the client signature off every ``ClientUpdate``
+    it relays.  With that inner signature outside the overlay's signed
+    view, every replica took m's copy first, Prime rejected it, and
+    Spines dropped the genuine copy behind it as a duplicate: nothing
+    was ordered before the client's first retry, which m strips again.
+    Bound into the view, the stripped copies die at the next correct
+    daemon and the genuine one gets through."""
+    from repro.core.wiring import Deployment
+    from repro.faults.harness import ReplayApp
+    from repro.prime.client import PrimeClient
+    from repro.prime.config import build_config
+    from repro.prime.messages import ClientUpdate
+
+    sim = Simulator(seed=5)
+    deployment = Deployment(sim, "strip", build_config(f=1, k=1))
+    deployment.wire_networks("192.168.112.0/24", external_ports=16,
+                             internal_cidr="192.168.111.0/24")
+    deployment.wire_replicas(lambda name: ReplayApp())
+    external = deployment.external
+    replicas = sorted(replica.external_daemon.name
+                      for replica in deployment.replicas.values())
+    client_daemon = deployment.wire_client_host("client", principal="client")
+    m, x, y = (deployment.wire_client_host(label).name
+               for label in ("m", "x", "y"))
+    for index, first in enumerate(replicas):
+        for second in replicas[index + 1:]:
+            external.add_edge(first, second)
+        external.add_edge(m, first)
+    for edge in ((client_daemon.name, m), (client_daemon.name, x), (x, y),
+                 (y, replicas[0])):
+        external.add_edge(*edge)
+    client = PrimeClient(sim, "client", deployment.prime_config,
+                         client_daemon, 7601)
+
+    relay = external.daemons[m]
+    send_genuine = relay._send_envelope
+    stripped = []
+
+    def send_stripped(neighbor, envelope, now):
+        body = envelope.body
+        if isinstance(body, OverlayMessage) and isinstance(body.payload,
+                                                           ClientUpdate):
+            body = replace(body, payload=replace(body.payload,
+                                                 signature=None))
+            envelope = LinkEnvelope(sender=m, kind="data", body=body)
+            stripped.append(neighbor)
+        send_genuine(neighbor, envelope, now)
+
+    relay._send_envelope = send_stripped
+    sim.at(0.2, client.submit, {"set": ("B57", True)})
+    # The first retry is due no earlier than 0.8 s after submission.
+    sim.run(until=0.95)
+    assert stripped
+    assert 1 in client.confirmed
+    assert sim.metrics.total("prime.client.retries") == 0
+    assert sum(external.daemons[name].stats_dropped_sig
+               for name in replicas) == len(stripped)
