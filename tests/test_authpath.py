@@ -370,8 +370,9 @@ def test_pad_memo_is_bounded_and_eviction_is_harmless():
 
 # ---------------------------------------------------------------------------
 # Golden tags, captured on the parent commit (b66b28d) — all but the
-# overlay message's source signature, re-captured by PR 21: its signed
-# view gained the payload's digest, the route set and ``repeats``.  The
+# overlay message's source signature, re-captured twice: when its signed
+# view gained the payload's digest, the route set and ``repeats``, and
+# again when it gained the payload's own signature (``None`` here).  The
 # other five do not involve an ``OverlayMessage`` and did not move.
 # ---------------------------------------------------------------------------
 def _golden_ring():
@@ -387,7 +388,7 @@ def test_golden_tags_are_byte_identical_to_the_parent():
         payload={"op": 1}, seq=41, src_daemon="d1")
     assert sign_payload(ring, "replica1", overlay) == Signature(
         "replica1", bytes.fromhex(
-            "71735046fb0c87de08698f95882ad83ed6ffea423f3876314d740cd6f72b728c"))
+            "54e7a61d9c837155cdd3466168b91453ce9192a21150982cd815e598184057f3"))
 
     update = ClientUpdate(
         client_id="proxy-a", client_seq=9,
