@@ -27,7 +27,9 @@ lifetime, keyed on object identity with no invalidation logic:
   silently fall back to a fresh encoding);
 * :class:`FrozenViewMixin` gives protocol messages cached
   ``view_bytes()`` / ``view_digest()`` over their ``signed_view()``,
-  whose fixed keys are encoded and sorted once per class.
+  whose fixed keys are encoded and sorted once per class;
+* :class:`FrozenValueMixin` values (an immutable tuple subclass shared
+  by many messages) are encoded once wherever they appear in a view.
 
 ``set_cache_enabled(False)`` switches every cache off (the naive encode
 path), which the perf harness uses to prove the optimisation does not
@@ -183,14 +185,17 @@ class _EncoderTable(dict):
     """``type -> encoder``.  The builtin value space is seeded below;
     any other type is resolved on first sight and memoised: a subclass
     of a builtin (``OrderedDict``, a namedtuple, an int/str enum) takes
-    the encoder of the first builtin in its MRO, a dataclass gets one
-    built from its fields, everything else the encoder that raises
+    the encoder of the first builtin in its MRO — kept on the value
+    when the subclass is a :class:`FrozenValueMixin` — a dataclass gets
+    one built from its fields, everything else the encoder that raises
     :class:`UnserializableError`."""
 
     def __missing__(self, tp: type) -> Callable[[Any], bytes]:
         for base in tp.__mro__:
             encoder = _BUILTIN_ENCODERS.get(base)
             if encoder is not None:
+                if issubclass(tp, FrozenValueMixin):
+                    encoder = _encoded_once(encoder)
                 break
         else:
             if dataclasses.is_dataclass(tp):
@@ -238,6 +243,26 @@ def canonical_cached(value: Any) -> bytes:
     except (AttributeError, TypeError):
         pass  # no attribute slot (builtin / __slots__ type): uncached
     return data
+
+
+class FrozenValueMixin:
+    """Mixed into an immutable subclass of a builtin container that
+    many messages share (a Spines route set is a tuple of paths): it
+    encodes exactly as the builtin does, but once per object, the bytes
+    kept on the object — wherever it appears, inside whichever view."""
+
+
+def _encoded_once(encode: Callable[[Any], bytes]) -> Callable[[Any], bytes]:
+    def encode_once(value: Any) -> bytes:
+        if not _cache_enabled:
+            return encode(value)
+        d = value.__dict__
+        data = d.get(_CACHE_ATTR)
+        if data is None:
+            data = d[_CACHE_ATTR] = encode(value)
+        return data
+
+    return encode_once
 
 
 class FrozenViewMixin:

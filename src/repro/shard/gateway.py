@@ -5,8 +5,10 @@ Each shard kernel's external Spines overlay gets one
 that, in the monolithic world, connects this kernel's daemons to the
 rest of the deployment.  The gateway participates in the kernel-local
 overlay like any daemon, one edge from its uplink: a message for a
-daemon this kernel's link-state view does not hold (or for every
-daemon) is signed to travel all edges, so it reaches the gateway, and
+daemon this kernel's link-state view does not hold, or for a multicast
+group (whose members the gateway speaks for,
+:attr:`~repro.spines.daemon.SpinesDaemon.speaks_for_unseen`), is signed
+to travel all edges, so it reaches the gateway, and
 :class:`~repro.spines.messages.OverlayMessage`
 bodies that *originate* in this kernel are exported (pickled at export
 time, so later local hop-count mutation is invisible) to the shard
@@ -40,6 +42,8 @@ class GatewayDaemon(SpinesDaemon):
             destination daemon name (or ``"*"``) so the coordinator can
             route targeted messages to the owning kernel only.
     """
+
+    speaks_for_unseen = True
 
     def __init__(self, sim, name: str, host, port: int, network_key_id: str,
                  intrusion_tolerant: bool = True,

@@ -45,7 +45,10 @@ MAGIC = b"SPIRESNAP"
 #: lost ``kind`` / ``planned_commands``.
 #: 4: a Spines daemon holds its network and a per-source map of seen
 #: sequence numbers; overlay messages carry a route set.
-SCHEMA_VERSION = 4
+#: 5: route sets are ``RouteSet`` tuples; a Spines network memoises
+#: pair and group route sets; the overlay's signed view binds the
+#: payload's own signature.
+SCHEMA_VERSION = 5
 
 
 class SnapshotError(RuntimeError):

@@ -9,18 +9,26 @@ In intrusion-tolerant mode there is one dissemination rule: *a message
 carries a source-signed route set, and a daemon forwards it on every
 edge of that set that leaves it, except the one it arrived on*
 (:meth:`SpinesDaemon._forward`).  The source picks the set from its
-network's link-state view: K = f + 1 node-disjoint paths for a unicast,
-so f compromised forwarders cannot cut every copy, and *all edges* —
-constrained flooding — wherever that is not on offer: overlay multicast
-(``("*", port)``), a pair the view connects by fewer than K disjoint
-paths, a destination the view does not contain (a peer shard's daemon
-behind a gateway, or a daemon with no network at all), and every
-RELIABLE retransmission.  Relays verify the hop MAC and the source
-signature (which covers the payload's digest and the route set), drop
+network's link-state view (:meth:`SpinesNetwork.route_set
+<repro.spines.overlay.SpinesNetwork.route_set>`): for a unicast, K = f
++ 1 node-disjoint paths through every segment between the pair's
+separators, so f compromised forwarders off the separators cannot cut
+every copy; for a multicast ``("*", port)``, the union of those sets to
+the port's group members — the running daemons with a session on it,
+which is why opening or closing a session, like stopping or starting a
+daemon, starts a new epoch of the view.  *All edges* — constrained
+flooding — is left to what the view cannot do better: a destination it
+does not contain (a peer shard's daemon), a daemon with no network at
+all, a segment other than a single edge with fewer than K disjoint
+paths, a multicast in a view holding a shard gateway (which speaks for
+members the view cannot see), and every RELIABLE retransmission.
+Relays verify the hop MAC and the source signature (which covers the
+payload's digest, the payload's own signature and the route set), drop
 copies that arrive off the set, dedup on ``(src_daemon, seq)`` and
 charge the source's fairness budget (token buckets), bounding the
 damage a *keyed but malicious* member can do to other flows; the
-destination delivers the first valid copy.
+destination delivers the first valid copy.  A relay finds where a set
+leads from it with one lookup in the set's own successor table.
 
 The daemon exposes a client session API used by Prime replicas, the
 SCADA proxies, and the HMI.
@@ -83,7 +91,9 @@ class SpinesSession:
 
     def close(self) -> None:
         self.closed = True
-        self.daemon.sessions.pop(self.port, None)
+        if self.daemon.sessions.get(self.port) is self:
+            del self.daemon.sessions[self.port]
+            self.daemon._view_changed()      # it leaves the port's group
 
 
 class SpinesDaemon(Process):
@@ -103,6 +113,11 @@ class SpinesDaemon(Process):
     daemon started outside any (the red team's own build), which can
     only flood to the neighbours it was told about.
     """
+
+    #: Whether this daemon speaks for daemons its network's view does
+    #: not hold (a shard gateway): multicast groups then have members
+    #: the view cannot see, and group messages take every edge.
+    speaks_for_unseen = False
 
     def __init__(self, sim, name: str, host: Host, port: int,
                  network_key_id: str, intrusion_tolerant: bool = True):
@@ -161,6 +176,7 @@ class SpinesDaemon(Process):
             raise RuntimeError(f"{self.name}: session port {port} in use")
         session = SpinesSession(self, port, handler)
         self.sessions[port] = session
+        self._view_changed()                 # it joins the port's group
         return session
 
     def originate(self, session: SpinesSession, dst: OverlayAddress,
@@ -172,7 +188,7 @@ class SpinesDaemon(Process):
         message = OverlayMessage(
             src=session.address, dst=dst, service=service, payload=payload,
             seq=self._seq, src_daemon=self.name, sent_at=self.now,
-            routes=self._route_set(dst[0]),
+            routes=self._route_set(dst),
         )
         if service == IT_FLOOD or (self.intrusion_tolerant and service == RELIABLE):
             # In IT mode all client data is source-signed.  Signing the
@@ -192,14 +208,13 @@ class SpinesDaemon(Process):
     # ------------------------------------------------------------------
     # Dissemination
     # ------------------------------------------------------------------
-    def _route_set(self, dst_daemon: str) -> Optional[RouteSet]:
-        """The route set this daemon signs into a message for
-        ``dst_daemon``: K disjoint paths when its network's view has
-        them, otherwise ``None`` — every edge."""
-        if (dst_daemon == "*" or self.network is None
-                or not self.intrusion_tolerant):
+    def _route_set(self, dst: OverlayAddress) -> Optional[RouteSet]:
+        """The route set this daemon signs into a message for ``dst``
+        (a daemon, or ``"*"`` and the group's port), as its network's
+        view offers it — ``None``, every edge, without a network."""
+        if self.network is None or not self.intrusion_tolerant:
             return None
-        return self.network.route_set(self.name, dst_daemon)
+        return self.network.route_set(self.name, dst[0], dst[1])
 
     def _dispatch(self, message: OverlayMessage) -> None:
         if message.dst[0] == self.name:
@@ -241,16 +256,15 @@ class SpinesDaemon(Process):
             seen.clear()    # coarse cache reset; dups re-dropped upstream
         seen[message.seq] = digest
         if message.dst[0] in ("*", self.name):
-            # Multicast delivers at every daemon, the source included.
+            # Multicast delivers wherever it arrives, the source
+            # included; a relay outside the group has no session for it.
             self._deliver_local(message)
         if not self._fairness_admit(message.src_daemon):
             self.stats_dropped_fairness += 1
             self._metric_dropped.inc()
             return
-        if message.routes is None:
-            targets = self.neighbors
-        else:
-            targets = message.successors(self.name)
+        targets = (self.neighbors if message.routes is None
+                   else message.successors(self.name))
         # One envelope (and one MAC) covers the whole fan-out: the MAC
         # depends on (sender, kind, body) but not on the receiving
         # neighbor, and the envelope is immutable once MACed.
@@ -395,7 +409,7 @@ class SpinesDaemon(Process):
                 src=(self.name, 0), dst=(message.src_daemon, -1),
                 service=BEST_EFFORT, payload=ack, seq=self._seq,
                 src_daemon=self.name,
-                routes=self._route_set(message.src_daemon),
+                routes=self._route_set((message.src_daemon, -1)),
                 )
             wrapper.signature = sign_payload(
                 self.host.key_ring, self.name, wrapper)
@@ -454,8 +468,7 @@ class SpinesDaemon(Process):
         self.log("spines.lifecycle", "daemon stopped")
         self.host.udp_unbind(self.port)
         self.shutdown()
-        if self.network is not None:
-            self.network.recompute_routes()
+        self._view_changed()
 
     def start_daemon(self) -> None:
         """Restart a previously stopped daemon."""
@@ -463,5 +476,11 @@ class SpinesDaemon(Process):
         self.host.udp_bind(self.port, self._udp_in)
         self._flood_seen.clear()
         self.log("spines.lifecycle", "daemon restarted")
+        self._view_changed()
+
+    def _view_changed(self) -> None:
+        """The one lifecycle path into the link-state view: stop, start
+        and session open/close start a new epoch of this daemon's
+        network (its topology, or a port's group membership)."""
         if self.network is not None:
             self.network.recompute_routes()

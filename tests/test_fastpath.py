@@ -124,7 +124,9 @@ def test_udp_frames_are_born_with_the_recursive_size(born):
     payload before the frame exists; ARP and TCP frames still size on
     first use."""
     world = build_world(GridSpec.single_plant())
-    world.run(until=2.0)
+    # Six sim-s: with route sets for every Spines message, two carry
+    # under 7 000 UDP frames.
+    world.run(until=6.0)
     sized = [(size, fresh) for size, fresh, _kind in born if size is not None]
     assert len(sized) > 10_000 and len(set(sized)) > 10
     assert all(size == fresh for size, fresh in sized)

@@ -103,9 +103,11 @@ class TestFormat:
         # entries were (time, seq, event), and a schema-1 payload would
         # otherwise unpickle and fail somewhere inside run(); schema 2
         # worlds were not yet ``repro.core.wiring.Deployment``s; schema
-        # 3 daemons kept a flat set of seen flood keys and no network.
-        assert snapshot_format.SCHEMA_VERSION == 4
-        for schema in (1, 2, 3, snapshot_format.SCHEMA_VERSION + 1):
+        # 3 daemons kept a flat set of seen flood keys and no network;
+        # schema 4 messages signed a view without the payload's own
+        # signature, and networks memoised unicast paths only.
+        assert snapshot_format.SCHEMA_VERSION == 5
+        for schema in (1, 2, 3, 4, snapshot_format.SCHEMA_VERSION + 1):
             header["schema"] = schema
             data = b"\n".join([
                 magic, json.dumps(header, sort_keys=True).encode(), rest])

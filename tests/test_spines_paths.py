@@ -2,6 +2,7 @@
 its flood fall-backs, and what a compromised forwarder can no longer do.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -9,13 +10,14 @@ import sys
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.api import GridSpec, Simulator, build_world
+from repro.api import GridSpec, Simulator, build_world, make_town_spec
 from repro.crypto import KeyStore, sign_payload
 from repro.net import Host, Lan, locked_down_firewall
+from repro.shard import GatewayDaemon
 from repro.spines import (
     IT_FLOOD, LinkEnvelope, OverlayMessage, RELIABLE, SpinesNetwork,
 )
-from repro.spines.overlay import disjoint_paths
+from repro.spines.overlay import disjoint_paths, join_segments, segment_paths
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +47,18 @@ def _adjacency(names, edges):
     return adj
 
 
+def _connectivity(reference, src, dst):
+    """How many node-disjoint ``src`` - ``dst`` paths ``reference``
+    holds.  networkx defines node connectivity for non-adjacent pairs;
+    a direct edge is one more path next to those around it."""
+    if reference.has_edge(src, dst):
+        around = reference.copy()
+        around.remove_edge(src, dst)
+        return 1 + (len(list(nx.node_disjoint_paths(around, src, dst)))
+                    if nx.has_path(around, src, dst) else 0)
+    return len(list(nx.node_disjoint_paths(reference, src, dst)))
+
+
 @given(connected_graphs(), st.integers(1, 4))
 @settings(max_examples=300, deadline=None)
 def test_disjoint_paths_match_networkx(graph, k):
@@ -52,17 +66,7 @@ def test_disjoint_paths_match_networkx(graph, k):
     adj = _adjacency(names, edges)
     reference = nx.Graph(edges)
     paths = disjoint_paths(adj, src, dst, k)
-
-    if reference.has_edge(src, dst):
-        # networkx defines node connectivity for non-adjacent pairs;
-        # the direct edge is one more path next to those around it.
-        around = reference.copy()
-        around.remove_edge(src, dst)
-        connectivity = 1 + (len(list(nx.node_disjoint_paths(
-            around, src, dst))) if nx.has_path(around, src, dst) else 0)
-    else:
-        connectivity = len(list(nx.node_disjoint_paths(reference, src, dst)))
-    assert len(paths) == min(k, connectivity)
+    assert len(paths) == min(k, _connectivity(reference, src, dst))
 
     interiors = []
     for path in paths:
@@ -99,8 +103,95 @@ def test_the_shortest_path_yields_when_it_blocks_the_disjoint_pair():
     assert len(disjoint_paths(adj, "s", "t", 3)) == 2
 
 
+# ---------------------------------------------------------------------------
+# Separators and segments against networkx
+# ---------------------------------------------------------------------------
+@st.composite
+def graphs_with_cut_vertices(draw):
+    """A random connected graph glued from up to five random blocks,
+    each sharing one daemon with what came before — every shared daemon
+    a cut vertex — and two distinct ends."""
+    names, edges = ["n00"], set()
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(1, 6))
+        block = [draw(st.sampled_from(names))] + [
+            f"n{len(names) + index:02d}" for index in range(size)]
+        names += block[1:]
+        pairs = [(draw(st.integers(0, index - 1)), index)
+                 for index in range(1, size + 1)]
+        pairs += draw(st.lists(st.tuples(st.integers(0, size),
+                                         st.integers(0, size)),
+                               max_size=2 * size))
+        edges |= {tuple(sorted((block[a], block[b])))
+                  for a, b in pairs if a != b}
+    src, dst = draw(st.permutations(names))[:2]
+    return names, sorted(edges), src, dst
+
+
+@given(graphs_with_cut_vertices(), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_segments_cross_every_separator_in_order(graph, k):
+    names, edges, src, dst = graph
+    reference = nx.Graph(edges)
+    separators = [
+        node for node in nx.shortest_path(reference, src, dst)[1:-1]
+        if not nx.has_path(nx.restricted_view(reference, [node], []),
+                           src, dst)]
+    ends = [src] + separators + [dst]
+    segments = segment_paths(_adjacency(names, edges), src, dst, k)
+    assert len(segments) == len(ends) - 1
+    for (a, b), found in zip(zip(ends, ends[1:]), segments):
+        connectivity = _connectivity(reference, a, b)
+        assert len(found) == min(k, connectivity)
+        if connectivity == 1:
+            assert found == [(a, b)]                           # a bridge
+        assert all(path[0] == a and path[-1] == b for path in found)
+        interiors = [node for path in found for node in path[1:-1]]
+        assert len(set(interiors)) == len(interiors)           # disjoint
+
+    paths = join_segments(segments)
+    assert len(paths) == max(map(len, segments))
+    for path in paths:
+        assert path[0] == src and path[-1] == dst
+        assert len(set(path)) == len(path)                     # simple
+        assert all(reference.has_edge(a, b) for a, b in zip(path, path[1:]))
+        crossed = [path.index(node) for node in separators]
+        assert crossed == sorted(crossed)                      # in order
+
+    # Once every segment but a bridge has k paths (the route set is
+    # not a flood), no k - 1 daemons off the separators cut them all.
+    if all(len(found) in (1, k) for found in segments):
+        off = sorted({node for path in paths for node in path} - set(ends))
+        for bad in itertools.combinations(off, min(k - 1, len(off))):
+            assert any(not set(bad) & set(path) for path in paths)
+
+
+@given(graphs_with_cut_vertices(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_multicast_union_reaches_every_member_once(graph, data):
+    names, edges, src, _dst = graph
+    sim, overlay = build(edges)
+    members = data.draw(st.lists(st.sampled_from(names), min_size=1,
+                                 unique=True))
+    for member in members:
+        listen(overlay, member)
+    union = overlay.route_set(src, "*", 50)
+    assert union == tuple(dict.fromkeys(
+        path for member in sorted(members) if member != src
+        for path in overlay.route_set(src, member)))
+    reached = [src]
+    for node in reached:
+        following = union.successors(node)
+        assert len(set(following)) == len(following)           # once each
+        reached += [hop for hop in following if hop not in reached]
+    assert set(members) <= set(reached)
+    assert {(a, b) for path in union for a, b in zip(path, path[1:])} == {
+        (node, hop) for node in reached for hop in union.successors(node)}
+
+
 _HASHSEED_PROBE = """
 import hashlib, random
+from repro.api import build_world, make_town_spec
 from repro.spines.overlay import disjoint_paths
 rng = random.Random(7)
 out = []
@@ -113,6 +204,13 @@ for _ in range(40):
     for a, b in sorted(edges):
         adj[a].append(b); adj[b].append(a)
     out.append(disjoint_paths(adj, names[0], names[-1], 3))
+# Route sets through separators, and group unions, on a federated grid.
+world = build_world(make_town_spec(5))
+for network in (world.internal, world.external):
+    names = list(network.daemons)
+    out += [network.route_set(a, b) for a in names for b in names]
+    out += [network.route_set(a, "*", port) for a in names
+            for port in (7000, 7100)]
 print(hashlib.sha256(repr(out).encode()).hexdigest())
 """
 
@@ -131,8 +229,9 @@ def test_paths_are_identical_under_two_hash_seeds():
 # ---------------------------------------------------------------------------
 # The forwarding rule on small overlays
 # ---------------------------------------------------------------------------
-def build(edges, seed=5, **options):
-    """An IT-mode overlay over the daemons ``edges`` name."""
+def build(edges, seed=5, gateway=None, **options):
+    """An IT-mode overlay over the daemons ``edges`` name, ``gateway``
+    (if any) a shard gateway."""
     sim = Simulator(seed=seed)
     names = sorted({name for edge in edges for name in edge})
     lan = Lan(sim, "net", "10.0.0.0/24", ports=len(names) + 2)
@@ -141,7 +240,8 @@ def build(edges, seed=5, **options):
     for name in names:
         host = Host(sim, name, firewall=locked_down_firewall())
         lan.connect(host)
-        overlay.add_daemon(host, name)
+        overlay.add_daemon(host, name,
+                           factory=GatewayDaemon if name == gateway else None)
     for a, b in edges:
         overlay.add_edge(a, b)
     lan.harden()        # static ARP: a downed link loses frames, not ARP
@@ -181,21 +281,71 @@ def test_unicast_takes_k_disjoint_paths_and_nothing_else():
     assert forwards(overlay) == {"a": 2, "m": 1, "x": 1, "y": 1}
 
 
-def test_multicast_cut_vertex_and_unknown_destination_flood():
+def sent(sim, overlay, sender, dst, payload, port=50):
+    """Forwards, per daemon, that one message from ``sender`` costs."""
+    before = forwards(overlay)
+    sender.send((dst, port), payload, service=IT_FLOOD)
+    sim.run(until=sim.now + 1.0)
+    return {name: count - before.get(name, 0)
+            for name, count in forwards(overlay).items()
+            if count != before.get(name, 0)}
+
+
+def test_a_cut_vertex_is_crossed_on_k_paths_and_the_unknown_floods():
     sim, overlay = build(DIAMOND)
-    assert overlay.route_set("a", "p") is None          # b is a cut vertex
+    # b is on every a - p path: both paths to it, then its one edge on.
+    assert overlay.route_set("a", "p") == (("a", "m", "b", "p"),
+                                           ("a", "x", "y", "b", "p"))
     assert overlay.route_set("a", "elsewhere") is None  # not in the view
+    received = listen(overlay, "p")
     sender = overlay.daemons["a"].create_session(51, lambda s, p: None)
-    heard = {name: listen(overlay, name) for name in overlay.daemons}
-    for index, dst in enumerate(["p", "elsewhere", "*"]):
-        before = sum(forwards(overlay).values())
-        sender.send((dst, 50), f"m{index}", service=IT_FLOOD)
-        sim.run(until=index + 1.0)
-        # Every daemon sends on every edge but the one it first heard
-        # the message on (the source has none): 2|E| - (|V| - 1).
-        assert sum(forwards(overlay).values()) - before == 2 * 6 - 5
-    assert heard.pop("p") == ["m0", "m2"]
-    assert all(payloads == ["m2"] for payloads in heard.values())
+    # b sends once, on to p, whichever path its first copy came by.
+    assert sent(sim, overlay, sender, "p", "m0") == {
+        "a": 2, "m": 1, "x": 1, "y": 1, "b": 1}
+    # Every daemon sends on every edge but the one it first heard the
+    # message on (the source has none): 2|E| - (|V| - 1).
+    assert sum(sent(sim, overlay, sender, "elsewhere", "m1").values()) \
+        == 2 * 6 - 5
+    assert received == ["m0"]
+
+
+def test_multicast_touches_its_members_and_their_paths_only():
+    sim, overlay = build(DIAMOND)
+    group = listen(overlay, "b")
+    elsewhere = listen(overlay, "p", port=52)      # another port's group
+    sender = overlay.daemons["a"].create_session(51, lambda s, p: None)
+    assert overlay.route_set("a", "*", 50) == overlay.route_set("a", "b")
+    assert sent(sim, overlay, sender, "*", "to b") == {
+        "a": 2, "m": 1, "x": 1, "y": 1}
+    # p joins: a new epoch, and the union of both members' route sets,
+    # its shared first hops sent once.
+    recomputes = sim.metrics.get("spines.route_recomputes", overlay.name)
+    before = recomputes.value
+    joined = listen(overlay, "p")
+    assert recomputes.value == before + 1
+    union = overlay.route_set("a", "*", 50)
+    assert union == overlay.route_set("a", "b") + overlay.route_set("a", "p")
+    assert union.successors("a") == ("m", "x")
+    assert sent(sim, overlay, sender, "*", "to b and p") == {
+        "a": 2, "m": 1, "x": 1, "y": 1, "b": 1}
+    assert group == ["to b", "to b and p"] and joined == ["to b and p"]
+    assert elsewhere == []
+    # ... and leaves again.
+    overlay.daemons["p"].sessions[50].close()
+    assert recomputes.value == before + 2
+    assert overlay.route_set("a", "*", 50) == overlay.route_set("a", "b")
+
+
+def test_a_view_holding_a_gateway_floods_multicast():
+    """A shard gateway speaks for daemons the view cannot see, so its
+    view cannot know a group's members; unicast is unaffected."""
+    sim, overlay = build(DIAMOND + [("p", "g")], gateway="g")
+    listen(overlay, "b")
+    sender = overlay.daemons["a"].create_session(51, lambda s, p: None)
+    assert overlay.route_set("a", "*", 50) is None
+    assert overlay.route_set("a", "b") == (("a", "m", "b"),
+                                           ("a", "x", "y", "b"))
+    assert sum(sent(sim, overlay, sender, "*", "all").values()) == 2 * 7 - 6
 
 
 def test_reliable_retry_floods_and_delivery_still_dedups():
@@ -319,12 +469,24 @@ def test_recovering_replicas_daemon_is_routed_around_while_it_is_down():
 def test_single_plant_forwarding_budget():
     """Counts, not clocks, so it holds on a loud box.  Whole-overlay
     flooding spent 73 826 forwards on this window's 2 058 deliveries
-    (35.9 each) and 226 997 kernel events; K = 2 paths spend 13 943
-    (6.8) and 47 348, most of what is left being the two multicast
-    streams, which still flood."""
+    (35.9 each) and 226 997 kernel events; K = 2 paths for unicast only
+    spent 13 943 (6.8) and 47 348; route sets for the two multicast
+    streams as well spend 8 350 (4.06) and 30 569."""
     world = build_world(GridSpec.single_plant())
     world.run(until=3.0)
     metrics = world.sim.metrics
     assert metrics.total("spines.forwarded") \
-        / metrics.total("spines.delivered") <= 8.0
-    assert world.sim.events_executed < 60_000
+        / metrics.total("spines.delivered") <= 4.1
+    assert world.sim.events_executed < 31_000
+
+
+def test_city25_forwarding_budget():
+    """The core lead daemon is the only way from the replicas into the
+    regions, so with route sets for well-connected pairs only, nearly
+    every message flooded all 34 daemons: 146 560 forwards and 452 016
+    kernel events in these 8 sim-s.  Through the separators: 13 178 and
+    54 156."""
+    world = build_world(make_town_spec(25))
+    world.run(until=8.0)
+    assert world.sim.metrics.total("spines.forwarded") <= 20_000
+    assert world.sim.events_executed < 80_000
