@@ -7,13 +7,15 @@ untraced).  These literals were captured on the commit *before* the
 per-hop fast path (PR 13) and must only ever be re-captured by a PR
 that means to change behaviour and says so.
 
-Re-captured once, by PR 21 (K node-disjoint paths in Spines): a unicast
-no longer floods the overlay, so every Spire world sends fewer frames
-and runs fewer events — ``single_plant`` 226 997 -> 47 348 in 3 sim-s.
-The eight event/report literals below moved in that commit and in no
-other of that PR (its payload-covering signatures changed tags, which
-feed no event); what had to stay put while they moved is pinned by
-``tests/test_outcome_witness.py``, captured before the change.  The
+Re-captured twice, each time in a commit of its own, by changes to how
+Spines disseminates: K node-disjoint paths instead of a flood for a
+well-connected unicast (``single_plant`` 226 997 -> 47 348 events in 3
+sim-s), then route sets for every message — K paths through a pair's
+separators, the union of the members' sets for a multicast group
+(47 348 -> 30 569).  Each time the eight event/report literals below
+moved and nothing else did (signature changes moved tags, which feed no
+event); what had to stay put while they moved is pinned by
+``tests/test_outcome_witness.py``, captured before either change.  The
 commercial LAN runs no Spines and kept its literal.
 
 Captured on CPython 3.11 (the only interpreter in the build container)
@@ -67,8 +69,8 @@ def test_single_plant_3s():
     world = build_world(GridSpec.single_plant())
     world.run(until=3.0)
     assert _witness(world.sim) == (
-        "588560862adaf6b4a354fb0de9c128bd07951d07940a6114e8faac97726ca593",
-        47348)
+        "7d8fcf6b977d81c99be8e0876cb56ff21c20a73af175687c560ed2c453fcbd89",
+        30569)
 
 
 def test_single_plant_3s_metrics_export():
@@ -78,15 +80,15 @@ def test_single_plant_3s_metrics_export():
     world.run(until=3.0)
     export = world.sim.metrics.to_json()
     assert hashlib.sha256(export.encode()).hexdigest() == (
-        "4ecee1b5edcc8cf5c09fe44f2ed93be5940d742fc845ae5f0fa0b25d78f32613")
+        "877480f0858a12a8c21f48aa6360f54b0770c3a9e4e002219920ee3ad17612c8")
 
 
 def test_town5_2s():
     world = build_world(make_town_spec(5))
     world.run(until=2.0)
     assert _witness(world.sim) == (
-        "ff3532fb8821eb6fee78193b601533e351e09b7143cd9b66c1400c170bbab640",
-        38287)
+        "9dcf82fe9776249b64a5339664b1ddcd457eadfd5c887d13452ada77be833b05",
+        10105)
 
 
 def test_commercial_lan_30s():
@@ -100,7 +102,7 @@ def test_commercial_lan_30s():
 def test_crash_recover_campaign_cell_with_mana():
     report = run_campaign(["crash-recover"], seeds=[1], mana=True)
     assert report_digest(report) == (
-        "06f42487f6cb27219b7b213189c1da660aa3932db0aa995898c3076b2795bd48")
+        "7fde9f350efe4436a347428f8fa0a3dc09c4dc6a8b90b80a4a0a79e19c77c6df")
 
 
 # The four below cover the builders no literal above reaches: the shard
@@ -113,7 +115,7 @@ def test_sharded_town5_3s():
         world.run(until=3.0)
         digest = world.event_digest()
     assert digest == (
-        "9e92d8d8572cd2601864b96444212eb9c99232a7b03a6ed5a8c8409afab69498")
+        "4fa7c1c3294628d4f94b41f919507fc1b39125c58e83073bc14e82474b6863c1")
 
 
 def test_redteam_testbed_3s():
@@ -122,15 +124,15 @@ def test_redteam_testbed_3s():
     testbed.start_cyclers()
     sim.run(until=3.0)
     assert _witness(sim) == (
-        "17f08392b2251982e7ae5571c2e4a4183deba8860c63eb429c3b77696c80e94a",
-        10526)
+        "8a3127b2019f60b864929d607b51bec73d474ba88c59b5d45bbc4c56a7852be9",
+        8159)
 
 
 def test_recovery_collision_grid_campaign_cell():
     report = run_campaign(["recovery-collision"], seeds=[1],
                           grid=make_town_spec(2), duration=8.0)
     assert report_digest(report) == (
-        "b1fad6aa846ab62e14bec5b91419b5aa882cc31c68cd0800cf95d500ab397145")
+        "9972e9f47a6cd8da448e331273a806178010f535933ab2e1fb76e75e6842fcbc")
 
 
 def test_single_plant_dnp3_threshold_2s():
@@ -138,5 +140,5 @@ def test_single_plant_dnp3_threshold_2s():
         generation_protocol="dnp3", use_threshold_directives=True))
     world.run(until=2.0)
     assert _witness(world.sim) == (
-        "b3e62c68b1df7aa65c0b03f7ed530c5fe55353cf06a29f2700fd60355055ed7a",
-        38371)
+        "10d0e42ec1b1ee0c312af4af4349c210fa23e463f3940446037ea30e70d40775",
+        25195)
