@@ -180,14 +180,17 @@ class UpdateResponse:
 @dataclass
 class AruExchange:
     """Periodic 'how far have you executed' gossip for reconciliation,
-    also carrying the sender's view (view-evidence healing)."""
+    also carrying the sender's view (view-evidence healing) and its
+    latest checkpoint as ``(gseq, digest)`` (stability)."""
 
     replica: str
     last_executed: int
     view: int = 0
+    checkpoint: Optional[Tuple[int, bytes]] = None
 
     def wire_size(self) -> int:
-        return 20
+        # A checkpoint adds its gseq (8 bytes) and SHA-256 digest.
+        return 20 if self.checkpoint is None else 60
 
 
 @dataclass
@@ -203,6 +206,10 @@ class StateRequest:
 
 @dataclass
 class StateResponse:
+    """Replication + application state: a donor's answer to a
+    ``StateRequest`` (``nonce`` echoes it), or a stable checkpoint
+    answering a ``ReconcRequest`` that reaches below it."""
+
     replica: str
     nonce: int
     last_executed: int

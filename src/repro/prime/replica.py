@@ -27,6 +27,14 @@ features the Spire paper relies on:
   view, fetch missed committed proposals and missing certified update
   contents from peers, and accept values vouched for by ``f + 1``
   distinct peers.
+* **Stable checkpoints**: every ``CHECKPOINT_INTERVAL`` executed gseqs a
+  replica records its state and a digest of it, and reports the latest
+  on its reconciliation gossip.  Once ``2f + k + 1`` replicas, itself
+  included, report the same checkpoint it is stable: ordering slots
+  below it and preorder slots it covers are dropped, and a floor keeps
+  late messages from reviving them.  A replica that fell behind the
+  stable point installs the checkpoint from ``f + 1`` matching answers
+  and reconciles forward from there.
 * **State transfer signalling** (Section III-A of the paper): after a
   proactive recovery, the replication layer does not transfer
   application state itself — it *signals* the application, which runs
@@ -40,18 +48,18 @@ preorder state is wiped.
 
 Simplifications relative to the C implementation, none of which change
 the properties exercised by the reproduction: erasure-coded
-reconciliation is replaced by direct retransmission; checkpoint-based
-garbage collection is omitted (simulated runs are finite); and the
+reconciliation is replaced by direct retransmission, and the
 suspect-leader threshold is a configuration constant rather than a
 measured turnaround-time bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Protocol, Set, Tuple
 
-from repro.crypto.auth import digest, sign_payload, verify_signature
+from repro.crypto.auth import sign_payload, verify_signature
 from repro.crypto.keys import KeyRing
 from repro.prime.config import PrimeConfig
 from repro.prime.messages import (
@@ -123,11 +131,42 @@ class _PoSlot:
         return self.updates.get(self.certified)
 
 
+def _repr_digest(value: Any) -> bytes:
+    return hashlib.sha256(repr(value).encode()).digest()
+
+
+@dataclass
+class _Checkpoint:
+    """A replica's state right after executing ``gseq``.
+
+    ``digest`` covers what state transfer groups donors by
+    (``last_executed``, the executed-keys digest, the app digest);
+    ``state`` is the catch-up answer itself, with this replica as its
+    sender.
+    """
+
+    gseq: int
+    digest: bytes
+    state: StateResponse
+
+    @classmethod
+    def of(cls, state: StateResponse) -> "_Checkpoint":
+        return cls(state.last_executed,
+                   _repr_digest((state.last_executed,
+                                 state.executed_keys_digest,
+                                 state.app_digest)),
+                   state)
+
+
 STATE_NORMAL = "normal"
 STATE_RECOVERING = "recovering"
 
 RECOVERY_RETRY = 0.5
 UPDATE_FETCH_RETRY = 0.1
+CHECKPOINT_INTERVAL = 4
+# The nonce of a StateResponse that answers a ReconcRequest with a
+# stable checkpoint; recovery nonces count from 1.
+CATCH_UP_NONCE = 0
 
 
 class PrimeReplica(Process):
@@ -191,10 +230,19 @@ class PrimeReplica(Process):
         self._reconc_claims: Dict[int, Dict[bytes, Set[str]]] = {}
         self._recovery_nonce = 0
         self._recovery_responses: Dict[int, List[StateResponse]] = {}
+        # --- checkpoints ---
+        # The latest own checkpoint (what this replica reports), the
+        # stable one (what it truncated at and answers catch-ups with),
+        # each peer's latest report, and the preorder floor: every
+        # (incarnation, seq) at or below it is executed and gone.
+        self.checkpoint: Optional[_Checkpoint] = None
+        self.stable_checkpoint: Optional[_Checkpoint] = None
+        self._peer_checkpoints: Dict[str, Tuple[int, bytes]] = {}
+        self._po_floor: Dict[str, int] = {}
+        self._catch_up: Dict[str, StateResponse] = {}
         # --- stats ---
         self.updates_executed = 0
         self.replies_sent = 0
-        self.execute_times: List[float] = []
         # --- telemetry ---
         metrics = sim.metrics
         self._metric_executed = metrics.counter("prime.updates_executed",
@@ -318,6 +366,8 @@ class PrimeReplica(Process):
             return  # own loopback: already processed locally
         if payload.sender not in self.config.replica_names:
             return
+        if getattr(payload.body, "replica", payload.sender) != payload.sender:
+            return  # a body speaks only for the replica that signed it
         if payload.signature is None or not verify_signature(
                 self.key_ring, payload.signature, payload):
             self.log("prime.reject", "bad replica signature",
@@ -354,7 +404,10 @@ class PrimeReplica(Process):
     def _po_request_in(self, sender: str, batch: PoRequestBatch) -> None:
         if self._incarnation_owner(batch.originator) != sender:
             return  # replicas may only introduce under their own id
+        floor = self._po_floor.get(batch.originator, 0)
         for offset, update in enumerate(batch.updates):
+            if batch.start_seq + offset <= floor:
+                continue    # executed and truncated: never revived
             if update.signature is None or not verify_signature(
                     self.key_ring, update.signature, update):
                 continue
@@ -396,6 +449,8 @@ class PrimeReplica(Process):
 
     def _record_ack(self, slot_key: Tuple[str, int], acker: str,
                     update_digest: bytes) -> None:
+        if slot_key[1] <= self._po_floor.get(slot_key[0], 0):
+            return
         slot = self.po_slots.setdefault(slot_key, _PoSlot())
         ackers = slot.acks.setdefault(update_digest, set())
         ackers.add(acker)
@@ -405,7 +460,9 @@ class PrimeReplica(Process):
             self._advance_po_aru(slot_key[0])
 
     def _advance_po_aru(self, incarnation: str) -> None:
-        current = self.po_aru.get(incarnation, 0)
+        # Slots at or below the floor are truncated, not missing.
+        current = max(self.po_aru.get(incarnation, 0),
+                      self._po_floor.get(incarnation, 0))
         advanced = False
         while True:
             nxt = self.po_slots.get((incarnation, current + 1))
@@ -463,7 +520,7 @@ class PrimeReplica(Process):
     def _pre_prepare_in(self, sender: str, proposal: PrePrepare) -> None:
         if sender != self.config.leader_of(proposal.view):
             return
-        if proposal.view != self.view:
+        if proposal.view != self.view or self._below_stable(proposal.gseq):
             return
         slot = self.slots.setdefault(proposal.gseq, _Slot())
         if slot.committed:
@@ -482,7 +539,7 @@ class PrimeReplica(Process):
         self._broadcast(prepare)
 
     def _prepare_in(self, prepare: PrepareMsg) -> None:
-        if prepare.view != self.view:
+        if prepare.view != self.view or self._below_stable(prepare.gseq):
             return
         slot = self.slots.setdefault(prepare.gseq, _Slot())
         slot.prepares[prepare.replica] = prepare.digest
@@ -500,6 +557,8 @@ class PrimeReplica(Process):
             self._broadcast(commit)
 
     def _commit_in(self, commit: CommitMsg) -> None:
+        if self._below_stable(commit.gseq):
+            return
         slot = self.slots.setdefault(commit.gseq, _Slot())
         slot.commits[commit.replica] = commit.digest
         if slot.committed or slot.digest is None:
@@ -560,6 +619,10 @@ class PrimeReplica(Process):
             self._metric_ordinal.set(gseq)
             self._metric_pending.set(
                 len(self.own_pending) + len(self._certified_pending))
+            if gseq % CHECKPOINT_INTERVAL == 0:
+                self.checkpoint = _Checkpoint.of(
+                    self._state_response(CATCH_UP_NONCE))
+                self._check_stability()
 
     def _execute_slot(self, slot_key: Tuple[str, int]) -> None:
         update = self.po_slots[slot_key].certified_update()
@@ -576,7 +639,6 @@ class PrimeReplica(Process):
         executed_seqs.add(update.client_seq)
         result = self.app.execute_update(update)
         self.updates_executed += 1
-        self.execute_times.append(self.now)
         self._metric_executed.inc()
         intro = self._trace_intro.pop(key, None)
         if update.trace is not None:
@@ -632,6 +694,8 @@ class PrimeReplica(Process):
         """
         progressed = False
         for incarnation, seq, update in response.items:
+            if seq <= self._po_floor.get(incarnation, 0):
+                continue
             if update.signature is None or not verify_signature(
                     self.key_ring, update.signature, update):
                 continue
@@ -754,9 +818,12 @@ class PrimeReplica(Process):
     def _reconcile_tick(self) -> None:
         if self.state != STATE_NORMAL or self.byzantine == "crash":
             return
-        self._broadcast(AruExchange(replica=self.name,
-                                    last_executed=self.last_executed,
-                                    view=self.view))
+        latest = self.checkpoint
+        self._broadcast(AruExchange(
+            replica=self.name, last_executed=self.last_executed,
+            view=self.view,
+            checkpoint=None if latest is None else (latest.gseq,
+                                                    latest.digest)))
         self._retransmit_unacked_po_requests()
         self._adopt_view_evidence()
         self._try_execute()
@@ -788,6 +855,9 @@ class PrimeReplica(Process):
                                           from_gseq=self.last_executed + 1,
                                           to_gseq=msg.last_executed))
         self._adopt_view_evidence()
+        if msg.checkpoint is not None:
+            self._peer_checkpoints[msg.replica] = msg.checkpoint
+            self._check_stability()
 
     def _adopt_view_evidence(self) -> None:
         """Adopt a higher view when f+1 peers claim it (heals replicas
@@ -807,6 +877,12 @@ class PrimeReplica(Process):
                 self.log("prime.view", "adopted evident view", view=evident)
 
     def _reconc_request_in(self, request: ReconcRequest) -> None:
+        stable = self.stable_checkpoint
+        if stable is not None and request.from_gseq <= stable.gseq:
+            # The history asked for is truncated here: answer with the
+            # stable checkpoint, and the requester reconciles on from it.
+            self._broadcast(replace(stable.state, view=self.view))
+            return
         batches = []
         for gseq in range(request.from_gseq,
                           min(request.to_gseq, request.from_gseq + 50) + 1):
@@ -884,6 +960,10 @@ class PrimeReplica(Process):
         self._fetch_claims.clear()
         self._reconc_claims.clear()
         self._recovery_responses.clear()
+        self.checkpoint = self.stable_checkpoint = None
+        self._peer_checkpoints.clear()
+        self._po_floor = {}
+        self._catch_up = {}
         self._start_timers()
         if cold:
             self.state = STATE_NORMAL
@@ -906,23 +986,27 @@ class PrimeReplica(Process):
     def _state_request_in(self, request: StateRequest) -> None:
         if self.state != STATE_NORMAL:
             return
+        self._broadcast(self._state_response(request.nonce))
+
+    def _state_response(self, nonce: int) -> StateResponse:
+        """This replica's state as state transfer carries it.  Both
+        digests are SHA-256 over a ``repr``: a checkpoint takes one of
+        these every ``CHECKPOINT_INTERVAL`` gseqs."""
         snapshot = self.app.snapshot()
-        response = StateResponse(
-            replica=self.name, nonce=request.nonce,
+        executed = {c: sorted(s) for c, s in self.executed_updates.items()}
+        return StateResponse(
+            replica=self.name, nonce=nonce,
             last_executed=self.last_executed, view=self.view,
             exec_aru=dict(self.exec_aru),
-            executed_keys_digest=digest(
-                {c: sorted(s) for c, s in self.executed_updates.items()}),
-            app_state={
-                "app": snapshot,
-                "executed": {c: sorted(s)
-                             for c, s in self.executed_updates.items()},
-            },
-            app_digest=digest({"snap": repr(snapshot)}),
+            executed_keys_digest=_repr_digest(sorted(executed.items())),
+            app_state={"app": snapshot, "executed": executed},
+            app_digest=_repr_digest(snapshot),
         )
-        self._broadcast(response)
 
     def _state_response_in(self, response: StateResponse) -> None:
+        if response.nonce == CATCH_UP_NONCE:
+            self._catch_up_in(response)
+            return
         if self.state != STATE_RECOVERING:
             return
         bucket = self._recovery_responses.get(response.nonce)
@@ -931,35 +1015,101 @@ class PrimeReplica(Process):
         if any(r.replica == response.replica for r in bucket):
             return
         bucket.append(response)
-        self._maybe_finish_recovery(response.nonce)
+        members = self._vouched(bucket)
+        if members is not None:
+            self._install_state(members)
+            self.app.on_state_transfer("completed")
+            self.log("prime.lifecycle", "state transfer complete",
+                     last_executed=self.last_executed, view=self.view)
 
-    def _maybe_finish_recovery(self, nonce: int) -> None:
-        bucket = self._recovery_responses.get(nonce, [])
+    def _catch_up_in(self, response: StateResponse) -> None:
+        """A stable checkpoint ahead of this replica's execution."""
+        if (self.state != STATE_NORMAL
+                or response.last_executed <= self.last_executed):
+            return
+        answers = {name: answer for name, answer in self._catch_up.items()
+                   if answer.last_executed > self.last_executed}
+        answers[response.replica] = response
+        self._catch_up = answers
+        members = self._vouched(answers.values())
+        if members is not None:
+            self._install_state(members)
+            self.log("prime.checkpoint", "caught up from checkpoint",
+                     last_executed=self.last_executed, view=self.view)
+            self._try_execute()
+
+    def _vouched(self, responses) -> Optional[List[StateResponse]]:
+        """The first group of ``f + 1`` responses agreeing on what
+        state transfer groups donors by, if there is one."""
         groups: Dict[Tuple[int, bytes, bytes], List[StateResponse]] = {}
-        for response in bucket:
+        for response in responses:
             key = (response.last_executed, response.app_digest,
                    response.executed_keys_digest)
             groups.setdefault(key, []).append(response)
         for members in groups.values():
             if len(members) >= self.config.vouch:
-                self._install_state(members)
-                return
+                return members
+        return None
 
     def _install_state(self, members: List[StateResponse]) -> None:
+        """Install state vouched for by ``f + 1`` donors: the end of a
+        recovery's state transfer, or a checkpoint catch-up.  The
+        installed state is this replica's stable point from then on."""
         response = members[0]
         self.state = STATE_NORMAL
         self.last_executed = response.last_executed
         # Adopt the highest view among the vouching donors; a stale view
         # heals via view evidence gossip.
-        self.view = max(m.view for m in members)
+        self.view = max([self.view] + [m.view for m in members])
         self.exec_aru = dict(response.exec_aru)
         self.executed_updates = {
             c: set(s) for c, s in response.app_state["executed"].items()}
         self.app.restore(response.app_state["app"])
-        self.app.on_state_transfer("completed")
         self._recovery_responses.clear()
-        self.log("prime.lifecycle", "state transfer complete",
-                 last_executed=self.last_executed, view=self.view)
+        self._catch_up = {}
+        self.checkpoint = _Checkpoint.of(
+            replace(response, replica=self.name, nonce=CATCH_UP_NONCE))
+        self._stabilize(self.checkpoint)
+
+    # ------------------------------------------------------------------
+    # Checkpoints
+    # ------------------------------------------------------------------
+    def _check_stability(self) -> None:
+        """The latest own checkpoint is stable once ``2f + k + 1``
+        replicas, this one included, report the same one."""
+        mine = self.checkpoint
+        if mine is None or self._below_stable(mine.gseq):
+            return
+        report = (mine.gseq, mine.digest)
+        votes = 1 + sum(1 for peer in self._peer_checkpoints.values()
+                        if peer == report)
+        if votes >= self.config.quorum:
+            self._stabilize(mine)
+
+    def _below_stable(self, gseq: int) -> bool:
+        stable = self.stable_checkpoint
+        return stable is not None and gseq <= stable.gseq
+
+    def _stabilize(self, checkpoint: _Checkpoint) -> None:
+        """Truncate everything ``checkpoint`` covers: ordering slots
+        below its gseq, and every preorder slot at or below its
+        executed-through vector, old incarnations included.  The stable
+        gseq's own slot stays until the next checkpoint: the leader
+        compares its next proposal's matrix with it."""
+        self.stable_checkpoint = checkpoint
+        gseq = checkpoint.gseq
+        floor = self._po_floor = checkpoint.state.exec_aru
+        self.slots = {g: slot for g, slot in self.slots.items() if g >= gseq}
+        # Every table keyed by a preorder slot.
+        for name in ("po_slots", "_fetching", "_fetch_claims",
+                     "_certified_pending", "own_pending", "_slot_update_key"):
+            setattr(self, name, {key: value for key, value
+                                 in getattr(self, name).items()
+                                 if key[1] > floor.get(key[0], 0)})
+        self._reconc_claims = {g: v for g, v in self._reconc_claims.items()
+                               if g > gseq}
+        self.new_leader_msgs = {v: votes for v, votes in
+                                self.new_leader_msgs.items() if v > self.view}
 
     def _check_recovery(self, nonce: int) -> None:
         if self.state != STATE_RECOVERING:

@@ -6,10 +6,7 @@ simply the world pickled into the :mod:`repro.snapshot.format`
 container: the kernel event heap (lazy-cancel bookkeeping included),
 every RNG stream, replica and overlay state, grid physics, client
 populations, and the telemetry registries all ride along because they
-hang off the same graph.  Two caches are left behind by their owners'
-``__getstate__`` and refill as a restored world runs: each
-``KeyRing``'s signature-verdict memo and each ``SpinesNetwork``'s
-adjacency and path memo.
+hang off the same graph.
 
 The determinism contract, enforced by ``tests/test_snapshot.py`` and
 the CI ``snapshot-smoke`` job: *restoring a snapshot taken at time S

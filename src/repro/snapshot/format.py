@@ -48,7 +48,11 @@ MAGIC = b"SPIRESNAP"
 #: 5: route sets are ``RouteSet`` tuples; a Spines network memoises
 #: pair and group route sets; the overlay's signed view binds the
 #: payload's own signature.
-SCHEMA_VERSION = 5
+#: 6: Prime replicas hold stable checkpoints and a preorder floor and
+#: no longer keep execution times; a Spines daemon's seen and delivered
+#: seqs are bounded per-source windows; a random stream not yet drawn
+#: from holds no ``random.Random``.
+SCHEMA_VERSION = 6
 
 
 class SnapshotError(RuntimeError):

@@ -24,7 +24,8 @@ paths, a multicast in a view holding a shard gateway (which speaks for
 members the view cannot see), and every RELIABLE retransmission.
 Relays verify the hop MAC and the source signature (which covers the
 payload's digest, the payload's own signature and the route set), drop
-copies that arrive off the set, dedup on ``(src_daemon, seq)`` and
+copies that arrive off the set, dedup on ``(src_daemon, seq)`` against
+a bounded per-source window whose low-water mark refuses replays, and
 charge the source's fairness budget (token buckets), bounding the
 damage a *keyed but malicious* member can do to other flows; the
 destination delivers the first valid copy.  A relay finds where a set
@@ -37,7 +38,7 @@ SCADA proxies, and the HMI.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.crypto.auth import (
     mac_payload, sign_payload, verify_mac, verify_signature,
@@ -51,7 +52,9 @@ from repro.spines.messages import (
 
 RELIABLE_TIMEOUT = 0.2
 RELIABLE_MAX_RETRIES = 5
-FLOOD_CACHE_LIMIT = 50_000
+# Seqs a daemon remembers per source (see _SeqWindow): at least 8x the
+# largest arrival lag on the shipped worlds (81 seqs, single_plant).
+FLOOD_CACHE_LIMIT = 1024
 PROCESSING_DELAY = 0.00005
 
 # Per-source fairness: messages a daemon will forward for one source
@@ -65,6 +68,28 @@ class _ReliableState:
     message: OverlayMessage
     retries: int = 0
     timer: Any = None
+
+
+class _SeqWindow(dict):
+    """What a daemon has seen of one source daemon's seqs: the newest
+    ``FLOOD_CACHE_LIMIT`` of them (seq -> value), and ``floor``, the
+    highest seq evicted.  Every seq at or below the floor counts as
+    seen, so the state stays bounded and an old, correctly signed
+    message cannot be replayed past the bound."""
+
+    __slots__ = ("floor",)
+
+    def __init__(self):
+        super().__init__()
+        self.floor = 0
+
+    def add(self, seq: int, value: Any) -> None:
+        self[seq] = value
+        if len(self) > FLOOD_CACHE_LIMIT:
+            evicted = next(iter(self))
+            del self[evicted]
+            if evicted > self.floor:
+                self.floor = evicted
 
 
 class SpinesSession:
@@ -131,9 +156,10 @@ class SpinesDaemon(Process):
         self.sessions: Dict[int, SpinesSession] = {}
         self._seq = 0
         # src daemon -> seq -> digest of the signed view first seen
-        self._flood_seen: Dict[str, Dict[int, bytes]] = {}
+        self._flood_seen: Dict[str, _SeqWindow] = {}
         self._reliable_pending: Dict[Tuple[str, int], _ReliableState] = {}
-        self._delivered_reliable: Set[Tuple[str, int]] = set()
+        # src daemon -> reliable seqs delivered here
+        self._delivered_reliable: Dict[str, _SeqWindow] = {}
         # Per-source fairness accounting (window start, count).
         self._fairness: Dict[str, List[float]] = {}
         self.stats_forwarded = 0
@@ -141,6 +167,7 @@ class SpinesDaemon(Process):
         self.stats_dropped_fairness = 0
         self.stats_dropped_sig = 0
         self.stats_dropped_off_route = 0
+        self.stats_dropped_stale = 0
         metrics = sim.metrics
         self._metric_forwarded = metrics.counter("spines.forwarded",
                                                  component=name)
@@ -242,7 +269,7 @@ class SpinesDaemon(Process):
         that leaves here, except the one it arrived on."""
         seen = self._flood_seen.get(message.src_daemon)
         if seen is None:
-            seen = self._flood_seen[message.src_daemon] = {}
+            seen = self._flood_seen[message.src_daemon] = _SeqWindow()
         digest = message.view_digest()
         first = seen.get(message.seq)
         if first is not None:
@@ -252,9 +279,13 @@ class SpinesDaemon(Process):
                 self.metrics.counter("spines.equivocation_seen",
                                      component=self.name).inc()
             return
-        if len(seen) >= FLOOD_CACHE_LIMIT:
-            seen.clear()    # coarse cache reset; dups re-dropped upstream
-        seen[message.seq] = digest
+        if message.seq <= seen.floor:
+            # Evicted long ago, or never seen and older than anything
+            # kept: a replay either way.
+            self.stats_dropped_stale += 1
+            self._metric_dropped.inc()
+            return
+        seen.add(message.seq, digest)
         if message.dst[0] in ("*", self.name):
             # Multicast delivers wherever it arrives, the source
             # included; a relay outside the group has no session for it.
@@ -368,11 +399,15 @@ class SpinesDaemon(Process):
             self._ack_in(message.payload)
             return
         if message.service == RELIABLE:
-            key = (message.src_daemon, message.reliable_seq())
+            delivered = self._delivered_reliable.get(message.src_daemon)
+            if delivered is None:
+                delivered = self._delivered_reliable[message.src_daemon] = \
+                    _SeqWindow()
+            seq = message.reliable_seq()
             self._send_ack(message)
-            if key in self._delivered_reliable:
+            if seq in delivered or seq <= delivered.floor:
                 return
-            self._delivered_reliable.add(key)
+            delivered.add(seq, True)
         session = self.sessions.get(message.dst[1])
         if session is None or session.closed:
             return

@@ -1,10 +1,12 @@
 """Prime edge cases: equivocation, partitions, reconciliation, view
-evidence, and content fetching."""
+evidence, content fetching, and stable checkpoints."""
 
+from dataclasses import replace
 
 from repro.crypto.auth import sign_payload
 from repro.prime import ClientUpdate
-from repro.prime.messages import PoRequestBatch
+from repro.prime.messages import AruExchange, PoAckBatch, PoRequestBatch
+from repro.prime.replica import CHECKPOINT_INTERVAL
 
 
 def make_signed_update(cluster, client_id, seq, op):
@@ -14,6 +16,18 @@ def make_signed_update(cluster, client_id, seq, op):
     return ClientUpdate(client_id=client_id, client_seq=seq, op=op,
                         signature=sign_payload(ring, client_id,
                                                update.signed_view()))
+
+
+def feed(cluster, client, period=0.2):
+    """Submit an update every ``period`` sim-s until the returned timer
+    stops: each orders in a gseq of its own, so a checkpoint comes every
+    ``CHECKPOINT_INTERVAL`` updates."""
+    count = iter(range(1, 1 << 30))
+
+    def submit():
+        n = next(count)
+        client.submit({"set": (f"fed{n}", n)})
+    return cluster.sim.every(period, submit)
 
 
 def test_equivocating_originator_cannot_certify_two_contents(cluster):
@@ -68,6 +82,26 @@ def test_partitioned_replica_catches_up_via_reconciliation(cluster):
     for i in range(5):
         assert cluster.app(5).store.get(f"p{i}") == i
     assert lagger.last_executed >= 1
+
+    # A longer partition: the others order past stable checkpoints and
+    # truncate the history the lagger lacks, so reconciliation alone
+    # cannot bring it back.  It installs a stable checkpoint from f+1
+    # matching answers and reconciles forward from there.
+    link.set_up(False)
+    behind = lagger.last_executed
+    feeder = feed(cluster, client)
+    cluster.sim.run(until=14.0)
+    feeder.stop()
+    peers = [rep for rep in cluster.replicas.values() if rep is not lagger]
+    stable = min(peer.stable_checkpoint.gseq for peer in peers)
+    assert stable > behind + CHECKPOINT_INTERVAL
+    assert all(behind + 1 not in peer.slots for peer in peers)
+    link.set_up(True)
+    cluster.sim.run(until=20.0)
+    assert lagger.stable_checkpoint.gseq >= stable
+    assert lagger.last_executed == cluster.replica(0).last_executed
+    assert cluster.app(5).store == cluster.app(0).store
+    assert cluster.app(5).oplog == cluster.app(0).oplog
 
 
 def test_partition_heals_with_consistent_order(cluster):
@@ -218,3 +252,79 @@ def test_recovered_replica_view_adoption(cluster):
     cluster.sim.run(until=10.0)
     assert victim.state == "normal"
     assert victim.view >= 1
+
+
+# ---------------------------------------------------------------------------
+# Stable checkpoints
+# ---------------------------------------------------------------------------
+def test_checkpoint_is_stable_only_with_a_quorum_of_matching_reports(
+        cluster):
+    """Four replicas run — the 2f+k+1 quorum — and one of them reports a
+    bogus digest for each checkpoint it takes, while echoing the true
+    one in the names of the two replicas that are down.  Three honest
+    reports are not a quorum, and a report counts only for the replica
+    that signed it: no honest replica truncates anything.  Once the
+    fourth reports what it holds, every honest replica does."""
+    down = [cluster.replica(index) for index in (4, 5)]
+    for replica in down:
+        replica.crash()
+    honest = [cluster.replica(index) for index in range(3)]
+    liar = cluster.replica(3)
+    broadcast = liar._broadcast
+    lying = [True]
+
+    def report(body):
+        if lying[0] and isinstance(body, AruExchange) and body.checkpoint:
+            for replica in down:
+                broadcast(replace(body, replica=replica.name))
+            body = replace(body, checkpoint=(body.checkpoint[0],
+                                             b"\0" * 32))
+        broadcast(body)
+
+    liar._broadcast = report
+    feed(cluster, cluster.add_client("hmi"))
+    cluster.sim.run(until=5.0)
+    for replica in honest:
+        assert replica.checkpoint.gseq >= 2 * CHECKPOINT_INTERVAL
+        assert replica.stable_checkpoint is None
+        assert 1 in replica.slots
+    lying[0] = False
+    cluster.sim.run(until=7.0)
+    for replica in honest:
+        stable = replica.stable_checkpoint
+        assert stable is not None and 1 not in replica.slots
+        assert min(replica.slots) == stable.gseq
+        assert all(seq > stable.state.exec_aru.get(incarnation, 0)
+                   for incarnation, seq in replica.po_slots)
+
+
+def test_late_po_request_and_ack_below_the_floor_revive_nothing(cluster):
+    """After every replica truncated at a stable checkpoint, replica 0
+    retransmits a PO-Request for a slot the checkpoint covers and
+    replica 1 acks it again.  Revived, the slot would certify a second
+    time, never execute, and sit certified-but-pending until the
+    replicas suspected the leader."""
+    client = cluster.add_client("hmi")
+    feeder = feed(cluster, client)
+    cluster.sim.run(until=3.0)
+    feeder.stop()
+    cluster.sim.run(until=3.5)
+    originator, acker = cluster.replica(0), cluster.replica(1)
+    key = (originator.originator_id, 1)
+    for replica in cluster.replicas.values():
+        assert replica.stable_checkpoint.state.exec_aru[key[0]] >= key[1]
+        assert key not in replica.po_slots
+    view_changes = cluster.sim.metrics.total("prime.view_changes")
+    update = make_signed_update(cluster, "late", 1, {"set": ("late", 1)})
+    request = PoRequestBatch(originator=key[0], start_seq=key[1],
+                             updates=[update])
+    originator._po_request_in(originator.name, request)
+    originator._broadcast(request)
+    acker._broadcast(PoAckBatch(acker=acker.name,
+                                acks=[(key[0], key[1], update.view_digest())],
+                                po_aru=dict(acker.po_aru)))
+    cluster.sim.run(until=7.0)
+    for replica in cluster.replicas.values():
+        assert key not in replica.po_slots
+        assert key not in replica._certified_pending
+    assert cluster.sim.metrics.total("prime.view_changes") == view_changes

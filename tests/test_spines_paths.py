@@ -371,10 +371,10 @@ def test_reliable_retry_floods_and_delivery_still_dedups():
     assert overlay.daemons["p"].stats_forwarded == 0    # a leaf: nowhere on
     assert b.stats_forwarded > 0                        # the retry flooded on
 
-    first, = b._delivered_reliable
+    first, = b._delivered_reliable["a"]
     again = OverlayMessage(src=("a", 51), dst=("b", 50), service=RELIABLE,
                            payload="persistent", seq=a._seq + 1,
-                           src_daemon="a", repeats=first[1])
+                           src_daemon="a", repeats=first)
     again.signature = sign_payload(a.host.key_ring, "a", again)
     acks_before = b._seq
     a._dispatch(again)
