@@ -40,9 +40,9 @@ repo root and fails on regression:
   comfortable multiple of real time everywhere, with raw windows/s
   guarded only under ``--absolute``.
 
-Guards that cannot run on the current hardware (e.g. shard fan-out on
-a 1-cpu runner) collect their notices and ``main()`` prints one
-consolidated skip-summary line instead of per-flag chatter.
+Guards that cannot run on the current hardware (e.g. wall-clock
+metrics without ``--absolute``) collect their notices and ``main()``
+prints one consolidated skip-summary line instead of per-flag chatter.
 
 Per-metric tolerance bands
 --------------------------
@@ -325,57 +325,6 @@ def check_grid(baseline: dict, current: dict, threshold: float,
 
 
 # ----------------------------------------------------------------------
-# Sharded execution guard
-# ----------------------------------------------------------------------
-def check_shard(current: dict, skips: list) -> list:
-    """Guard a fresh BENCH_shard.json: the determinism witness always
-    (sections + event digests identical across shard counts), the >1.0x
-    speedup floor only where it is physically meaningful — a multi-core
-    runner and the largest (>= 25 substation) world, whose per-round
-    work amortises the barrier.  Single-core boxes and small worlds
-    append a notice to ``skips`` (summarised once by ``main()``)
-    instead of failing on hardware they don't have."""
-    failures = []
-    if not current.get("determinism", {}).get("match", False):
-        failures.append("shard determinism witness diverged: shard counts "
-                        "produce different grid sections / event digests")
-    for size, row in sorted(current.get("sizes", {}).items(),
-                            key=lambda item: int(item[0])):
-        status = "ok" if row.get("digest_match") else "REGRESSION"
-        print(f"  shard.digest_match[{size:>2s} subs]{'':14s} "
-              f"current={str(bool(row.get('digest_match'))):>10s} "
-              f"[{status}]")
-        if not row.get("digest_match"):
-            failures.append(f"shard digests diverged at {size} "
-                            "substation(s)")
-    cpus = int(current.get("cpus") or 1)
-    large = [(int(size), row) for size, row in
-             current.get("sizes", {}).items() if int(size) >= 25]
-    if cpus < 2:
-        skips.append(f"shard.speedup: {cpus} cpu(s) — fan-out cannot "
-                     "beat inline without a second core")
-        return failures
-    if not large:
-        skips.append("shard.speedup: no >= 25-substation world in "
-                     "this run; small worlds are barrier-dominated")
-        return failures
-    for size, row in sorted(large):
-        for shards_text, speedup in sorted(row.get("speedup", {}).items(),
-                                           key=lambda item: int(item[0])):
-            floor = 1.0
-            status = "ok" if speedup > floor else "REGRESSION"
-            print(f"  shard.speedup[{size} subs, shards={shards_text}]"
-                  f"{'':6s} current={speedup:10.3f} floor={floor:10.3f} "
-                  f"(cpus={cpus}) [{status}]")
-            if speedup <= floor:
-                failures.append(
-                    f"shard speedup at {size} substations, "
-                    f"shards={shards_text} regressed: {speedup:.2f}x <= "
-                    f"1.00x floor on {cpus} core(s)")
-    return failures
-
-
-# ----------------------------------------------------------------------
 # Snapshot (checkpoint/restore) guard
 # ----------------------------------------------------------------------
 def check_snapshot(baseline: dict, current: dict, threshold: float,
@@ -559,8 +508,6 @@ def main(argv=None) -> int:
                         help="freshly generated BENCH_obs.json to check")
     parser.add_argument("--grid-current", default=None,
                         help="freshly generated BENCH_grid.json to check")
-    parser.add_argument("--shard-current", default=None,
-                        help="freshly generated BENCH_shard.json to check")
     parser.add_argument("--snapshot-current", default=None,
                         help="freshly generated BENCH_snapshot.json to "
                              "check")
@@ -597,11 +544,11 @@ def main(argv=None) -> int:
 
     if not args.current and not args.parallel_current \
             and not args.obs_current and not args.grid_current \
-            and not args.shard_current and not args.snapshot_current \
+            and not args.snapshot_current \
             and not args.campaign_current and not args.detection_current:
         parser.error("nothing to check: pass --current, "
                      "--parallel-current, --obs-current, "
-                     "--grid-current, --shard-current, "
+                     "--grid-current, "
                      "--snapshot-current, --campaign-current, and/or "
                      "--detection-current")
 
@@ -637,12 +584,6 @@ def main(argv=None) -> int:
               f" vs {os.path.relpath(args.grid_baseline)})")
         failures += check_grid(grid_baseline, grid_current, args.threshold,
                                absolute=args.absolute)
-    if args.shard_current:
-        with open(args.shard_current) as handle:
-            shard_current = json.load(handle)
-        print("perf_guard: sharded execution "
-              f"({os.path.relpath(args.shard_current)})")
-        failures += check_shard(shard_current, skips)
     if args.snapshot_current:
         with open(args.snapshot_baseline) as handle:
             snapshot_baseline = json.load(handle)

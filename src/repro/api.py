@@ -42,7 +42,6 @@ from repro.obs import (
     build_grid_section, render_report,
 )
 from repro.parallel import UnitResult, WorkerPool, WorkUnit
-from repro.shard import ShardConfigError, ShardedGridWorld
 from repro.snapshot import (
     SnapshotError, nearest_snapshot, read_header, replay_dump,
     restore_world, restore_world_bytes, run_with_checkpoints, save_world,
@@ -81,8 +80,6 @@ __all__ = [
     "build_grid_section", "render_report",
     # Parallel sweep engine
     "UnitResult", "WorkerPool", "WorkUnit",
-    # Sharded execution (one world, many processes, identical results)
-    "ShardConfigError", "ShardedGridWorld",
     # Checkpoint/restore and time-travel replay
     "SnapshotError", "nearest_snapshot", "read_header", "replay_dump",
     "restore_world", "restore_world_bytes", "run_with_checkpoints",

@@ -354,11 +354,7 @@ def cmd_grid(args) -> int:
     # fault — trip a generating substation mid-run, restore it later —
     # so the per-substation section shows cross-substation physics.
     duration = max(args.duration, 12.0)
-    if args.shards is not None:
-        from repro.shard import ShardedGridWorld
-        world = ShardedGridWorld(spec, shards=args.shards, seed=args.seed)
-    else:
-        world = build_world(spec, seed=args.seed)
+    world = build_world(spec, seed=args.seed)
     world.start_workload(max(int((duration - 4.0) / 0.6), 6),
                          start=0.3, interval=0.6)
     names = sorted(world.substations)
@@ -372,10 +368,6 @@ def cmd_grid(args) -> int:
     world.run(until=duration)
     grid_section = build_grid_section(world)
     summary = world.grid_summary()
-    event_digest = None
-    if args.shards is not None:
-        event_digest = world.event_digest()
-        world.close()
     print(f"# {spec.name}: {summary['substations']} substation(s), "
           f"{len(world.replicas)} replicas, {len(world.hmis)} HMIs, "
           f"{len(world.populations)} client population(s)", file=sys.stderr)
@@ -393,10 +385,6 @@ def cmd_grid(args) -> int:
     meta = {"generator": "spire-sim grid", "seed": args.seed,
             "spec": spec.name, "duration": duration,
             "fault_substation": fault_sub}
-    if event_digest is not None:
-        # A witness, not a configuration record: --shards itself is
-        # deliberately absent so reports stay comparable across counts.
-        meta["event_digest"] = event_digest
     campaign = None
     if not args.skip_campaign:
         scenario_names = ([name.strip() for name in
@@ -434,18 +422,14 @@ def cmd_grid(args) -> int:
 
 def _snapshot_build_world(args):
     """Grid world for ``snapshot save``: spec file or generated town,
-    monolithic or sharded, with the standard supervisory workload (the
-    same shape as ``spire-sim grid``) so snapshots capture a live
-    system, not an idle one."""
+    with the standard supervisory workload (the same shape as
+    ``spire-sim grid``) so snapshots capture a live system, not an idle
+    one."""
     from repro.api import build_world, load_grid_spec, make_town_spec
 
     spec = (load_grid_spec(args.spec) if args.spec
             else make_town_spec(args.substations, seed=args.seed))
-    if args.shards is not None:
-        from repro.shard import ShardedGridWorld
-        world = ShardedGridWorld(spec, shards=args.shards, seed=args.seed)
-    else:
-        world = build_world(spec, seed=args.seed)
+    world = build_world(spec, seed=args.seed)
     # Workload size is fixed (never derived from --until): a snapshot
     # saved at T/2 must restore into *exactly* the world a straight run
     # to T inhabits, whatever T each invocation used.
@@ -468,27 +452,16 @@ def cmd_snapshot(args) -> int:
 
     if args.action == "save":
         spec, world = _snapshot_build_world(args)
-        sharded = args.shards is not None
         written = []
         if args.every:
-            if sharded:
-                world.enable_checkpoints(args.dir, args.every,
-                                         prefix=spec.name)
-                world.run(until=args.until)
-            else:
-                written = run_with_checkpoints(world, args.until, args.dir,
-                                               args.every, prefix=spec.name)
+            written = run_with_checkpoints(world, args.until, args.dir,
+                                           args.every, prefix=spec.name)
         else:
             world.run(until=args.until)
         if args.output:
-            if sharded:
-                world.save(args.output)
-            else:
-                save_world(args.output, world)
+            save_world(args.output, world)
             written.append(args.output)
-        digest = world.event_digest() if sharded else world.sim.event_digest()
-        if sharded:
-            world.close()
+        digest = world.sim.event_digest()
         print(f"# {spec.name} seed {args.seed}: ran to t={args.until:g}, "
               f"event digest {digest}", file=sys.stderr)
         for path in written:
@@ -497,25 +470,13 @@ def cmd_snapshot(args) -> int:
 
     if args.action == "restore":
         header = read_header(args.path)
-        if header["kind"] == "sharded":
-            from repro.shard import ShardedGridWorld
-            world = ShardedGridWorld.restore(args.path,
-                                             shards=args.shards or 1)
-            if args.until is not None:
-                world.run(until=args.until)
-            digest = world.event_digest()
-            now = world.now
-            world.close()
-        else:
-            world = restore_world(args.path)
-            if args.until is not None:
-                world.run(until=args.until)
-            digest = world.sim.event_digest()
-            now = world.sim.now
+        world = restore_world(args.path)
+        if args.until is not None:
+            world.run(until=args.until)
         print(f"# restored {args.path} "
               f"(saved at t={header['meta'].get('now', 0.0):g}), "
-              f"ran to t={now:g}", file=sys.stderr)
-        print(f"event digest {digest}")
+              f"ran to t={world.sim.now:g}", file=sys.stderr)
+        print(f"event digest {world.sim.event_digest()}")
         return 0
 
     if args.action == "replay":
@@ -693,11 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="simulated seconds for the live grid run "
                            "(min 12; the field fault hits at 1/3 and "
                            "clears at 2/3)")
-    grid.add_argument("--shards", type=int, default=None, metavar="N",
-                      help="run the live grid as N lockstep shard "
-                           "processes (1 = sharded decomposition on one "
-                           "process); the report and its event digest "
-                           "are byte-identical for any --shards value")
     grid.add_argument("--skip-campaign", action="store_true",
                       help="omit the chaos campaign section")
     grid.add_argument("--scenarios", default=None,
@@ -743,10 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "than derived from --until, so runs of "
                                 "the same spec/seed stay byte-comparable "
                                 "across different --until values")
-    snap_save.add_argument("--shards", type=int, default=None, metavar="N",
-                           help="run (and snapshot) as N lockstep shard "
-                                "processes; the snapshot restores under "
-                                "any shard count")
     snap_save.add_argument("--output", default=None,
                            help="write the final snapshot here")
     snap_save.add_argument("--every", type=float, default=None,
@@ -767,11 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     snap_restore.add_argument("--until", type=float, default=None,
                               help="run the restored world to this "
                                    "simulated time first")
-    snap_restore.add_argument("--shards", type=int, default=None,
-                              metavar="N",
-                              help="shard-process count for sharded "
-                                   "snapshots (default 1; any value "
-                                   "gives identical results)")
     snap_replay = snap_sub.add_parser(
         "replay", parents=[seed],
         help="re-run a FlightRecorder dump's window from the nearest "
@@ -792,6 +739,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.grid.spec import GridSpecError
+    from repro.snapshot.format import SnapshotError
+
     argv = list(argv) if argv is not None else sys.argv[1:]
     args = build_parser().parse_args(argv)
     handler = {"quickstart": cmd_quickstart, "redteam": cmd_redteam,
@@ -801,6 +751,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                "snapshot": cmd_snapshot}[args.command]
     try:
         return handler(args)
+    except (GridSpecError, SnapshotError) as exc:
+        # Bad input, not a bug: one line and argparse's usage status.
+        print(f"spire-sim: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream closed early (`spire-sim ... | head`): not an error.
         # Detach stdout so the interpreter's shutdown flush stays quiet.

@@ -2,8 +2,7 @@
 
 Every world in the tree — a paper site (:mod:`repro.core.spire`), a
 federated grid (:mod:`repro.grid.world`), the campaign harness
-(:mod:`repro.faults.harness`), a shard kernel
-(:mod:`repro.shard.partition`) — is the same architecture: ``3f + 2k +
+(:mod:`repro.faults.harness`) — is the same architecture: ``3f + 2k +
 1`` hardened replicas dual-homed on an isolated internal and an
 external Spines overlay, keyed client hosts (proxies, HMIs, operator
 populations) on the external overlay, PLCs behind their proxy on direct
@@ -92,8 +91,6 @@ class Deployment:
         prefix: names the LANs, overlays, RNG streams and (by default)
             hosts of this deployment.
         prime_config: the ``3f + 2k + 1`` sizing.
-        keystore: key authority; derived from ``prefix`` when omitted
-            (shard kernels pass one every kernel can re-derive).
         diversify: MultiCompiler diversification (off = monoculture).
     """
 
@@ -103,12 +100,11 @@ class Deployment:
              "replica_hosts", "replicas", "variants", "recovery")
 
     def __init__(self, sim, prefix: str, prime_config: PrimeConfig,
-                 keystore: Optional[KeyStore] = None,
                  diversify: bool = True):
         self.sim = sim
         self.prefix = prefix
         self.prime_config = prime_config
-        self.keystore = keystore or KeyStore(sim.rng.child(f"{prefix}/keys"))
+        self.keystore = KeyStore(sim.rng.child(f"{prefix}/keys"))
         self.compiler = MultiCompiler(sim.rng.child(f"{prefix}/mc"),
                                       diversify=diversify)
         self.internal_lan: Optional[Lan] = None
@@ -135,13 +131,11 @@ class Deployment:
     # Networks and overlays
     # ------------------------------------------------------------------
     def wire_networks(self, external_cidr: str, external_ports: int,
-                      internal_cidr: Optional[str] = None) -> None:
-        """The external LAN + overlay (clients) and, unless this
-        deployment holds no replicas (a substation shard kernel), the
-        isolated internal pair (replication)."""
-        if internal_cidr is not None:
-            self.internal_lan, self.internal = self._overlay(
-                "internal", internal_cidr, self.prime_config.n + 2, 8100)
+                      internal_cidr: str) -> None:
+        """The external LAN + overlay (clients) and the isolated
+        internal pair (replication)."""
+        self.internal_lan, self.internal = self._overlay(
+            "internal", internal_cidr, self.prime_config.n + 2, 8100)
         self.external_lan, self.external = self._overlay(
             "external", external_cidr, external_ports, 8120)
 
@@ -156,8 +150,7 @@ class Deployment:
 
     def harden(self) -> None:
         """Section III-B: static ARP/MAC/port maps on every LAN."""
-        if self.internal_lan is not None:
-            self.internal_lan.harden()
+        self.internal_lan.harden()
         self.external_lan.harden()
 
     # ------------------------------------------------------------------
@@ -213,17 +206,14 @@ class Deployment:
                 for program in ("scada-master", "spines")}
 
     def wire_client_host(self, label: str, principal: Optional[str] = None,
-                         factory=None,
                          host_name: Optional[str] = None) -> SpinesDaemon:
         """A hardened host on the external LAN running the daemon
-        ``ext.<label>`` (built by ``factory`` when given — shard
-        gateways), holding ``principal``'s signing key if it hosts a
-        Prime client.  Returns the daemon; its ``host`` is the host."""
+        ``ext.<label>``, holding ``principal``'s signing key if it hosts
+        a Prime client.  Returns the daemon; its ``host`` is the host."""
         host = Host(self.sim, host_name or self.host_name(label),
                     firewall=locked_down_firewall())
         self.external_lan.connect(host)
-        daemon = self.external.add_daemon(host, f"ext.{label}",
-                                          factory=factory)
+        daemon = self.external.add_daemon(host, f"ext.{label}")
         if principal is not None:
             self._install_key(host, principal)
         return daemon

@@ -31,23 +31,12 @@ class KeyStore:
     is real bytes so MACs computed over it are real HMACs.
     """
 
-    def __init__(self, rng: Optional[DeterministicRng] = None, *,
-                 root_secret: Optional[bytes] = None):
-        """With ``root_secret`` the store becomes *derived*: every key is
-        a deterministic function of the root and the key id/principal
-        name, independent of creation order.  Shard kernels built in
-        separate processes use this so that any kernel can verify any
-        principal without exchanging key material (the monolithic path
-        keeps RNG-minted keys)."""
-        rng = rng or DeterministicRng(0, "keystore")
-        self._rng = rng
-        self._root = root_secret
+    def __init__(self, rng: Optional[DeterministicRng] = None):
+        self._rng = rng or DeterministicRng(0, "keystore")
         self._symmetric: Dict[str, bytes] = {}
         self._signing: Dict[str, bytes] = {}
 
     def _mint(self, tag: bytes, name: str) -> bytes:
-        if self._root is not None:
-            return hashlib.sha256(tag + name.encode() + self._root).digest()
         return hashlib.sha256(tag + name.encode() + self._rng.bytes(32)).digest()
 
     # -- symmetric group keys ------------------------------------------
@@ -62,8 +51,6 @@ class KeyStore:
         try:
             return self._symmetric[key_id]
         except KeyError:
-            if self._root is not None:
-                return self._symmetric.setdefault(key_id, self._mint(b"sym:", key_id))
             raise KeyError_(f"unknown symmetric key {key_id!r}") from None
 
     def has_symmetric(self, key_id: str) -> bool:
@@ -81,10 +68,6 @@ class KeyStore:
         try:
             return self._signing[principal]
         except KeyError:
-            if self._root is not None:
-                # Derived stores act as a complete public-key registry:
-                # a principal built in another shard kernel verifies here.
-                return self._signing.setdefault(principal, self._mint(b"sig:", principal))
             raise KeyError_(f"unknown signing key for {principal!r}") from None
 
     def principals(self) -> Iterable[str]:

@@ -38,7 +38,7 @@ count per entry into the bad band, not per step spent there.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.grid.spec import GridSpec, PhysicsSpec
 
@@ -52,22 +52,13 @@ class GridPhysics:
         topologies: substation name -> list of
             :class:`~repro.plc.topology.PowerTopology` objects whose
             energized-load fraction drives that substation's injection.
-        fraction_sources: substation name -> zero-arg callable returning
-            the current energized-load fraction.  Used by the sharded
-            executor for substations whose topologies live in *another*
-            shard kernel (their fractions arrive as barrier traffic);
-            mutually exclusive with a ``topologies`` entry of the same
-            name.  Source names order after topology names.
     """
 
-    def __init__(self, sim, spec: GridSpec, topologies: Dict[str, list],
-                 fraction_sources: Optional[Dict[str, Callable[[], float]]] = None):
+    def __init__(self, sim, spec: GridSpec, topologies: Dict[str, list]):
         self.sim = sim
         self.spec = spec
         self.params: PhysicsSpec = spec.physics
-        self._sources: Dict[str, Callable[[], float]] = dict(fraction_sources or {})
-        self._names: Tuple[str, ...] = tuple(topologies) + tuple(
-            name for name in self._sources if name not in topologies)
+        self._names: Tuple[str, ...] = tuple(topologies)
         self._topologies = {name: list(topos)
                             for name, topos in topologies.items()}
         self._ratings = self._resolve_ratings()
@@ -120,7 +111,7 @@ class GridPhysics:
                 ratings[name] = by_name[name]
             else:
                 load = gen = 0.0
-                for topo in self._topologies.get(name, ()):
+                for topo in self._topologies[name]:
                     mw = float(len(topo.loads)) or 1.0
                     if topo.name.startswith("generator"):
                         gen += mw
@@ -136,9 +127,6 @@ class GridPhysics:
         return "core"
 
     def _energized_fraction(self, name: str) -> float:
-        source = self._sources.get(name)
-        if source is not None:
-            return source()
         total = served = 0
         for topo in self._topologies[name]:
             total += len(topo.loads)

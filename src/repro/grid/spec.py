@@ -86,9 +86,9 @@ class OverlayRegionSpec:
     daemons wired into a sparse ring-plus-chords mesh of roughly
     ``degree`` neighbors.  ``links`` adds explicit inter-region overlay
     edges on top of the default region ring.  ``latency`` is the
-    one-way propagation delay of this region's overlay links in
-    seconds; the minimum across regions is the conservative lookahead
-    of the sharded executor (`repro.shard`), so it must be positive.
+    declared one-way propagation delay of this region's overlay links in
+    seconds; a delay cannot be negative, so a spec declaring one is
+    refused.
     """
 
     name: str

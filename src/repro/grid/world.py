@@ -363,9 +363,7 @@ def _build_federated_world(sim, spec: GridSpec) -> GridWorld:
 
 
 # ----------------------------------------------------------------------
-# Pieces of the federated layout, shared with the shard kernels
-# (repro.shard.partition wires the same core and the same substations,
-# one kernel each)
+# Pieces of the federated layout
 # ----------------------------------------------------------------------
 def spec_breaker_pairs(sub: SubstationSpec) -> List[Tuple[str, str]]:
     """(plc, feed-breaker) pairs of one substation, derived from the
@@ -379,9 +377,8 @@ def wire_substation(deployment: Deployment, spec: GridSpec,
                     sub: SubstationSpec) -> Substation:
     """One substation: a proxy serving its whole RTU population.
 
-    Cable subnets keep their *global* indices (a pure function of the
-    spec) so a substation is wired identically in the monolithic world
-    and alone in a shard kernel, wherever that kernel is placed.
+    Cable subnets take *global* indices, a pure function of the spec:
+    the RTUs of every substation listed before this one come first.
     """
     cable_index = 0
     for other in spec.substations:

@@ -118,10 +118,6 @@ def build_grid_section(world) -> Dict[str, Any]:
     reaction quantiles attributed through ``hmi.command`` span attrs)."""
     from repro.prime.replica import STATE_NORMAL
 
-    if hasattr(world, "grid_section"):
-        # Sharded worlds assemble the same section shape from their
-        # per-kernel fragments (repro.shard.runner).
-        return world.grid_section()
     sim = world.sim
     physics = world.physics.snapshot() if world.physics else {}
     reaction_pools: Dict[str, Histogram] = {}

@@ -56,9 +56,6 @@ from repro.telemetry.metrics import MetricsRegistry
 #: Per-unit attempts before a unit is reported failed (1 retry).
 MAX_ATTEMPTS = 2
 
-#: Seconds a lane request may block before the lane is declared dead.
-LANE_TIMEOUT = 600.0
-
 #: Parent event-loop poll interval (seconds, wall clock).
 _TICK = 0.05
 
@@ -159,74 +156,6 @@ def _worker_main(worker_id: int, task_queue, result_queue,
                 result_queue.put(("done", worker_id, index, False, None,
                                   f"result not transportable: {exc}", 0.0))
             current.value = -1
-
-
-# ----------------------------------------------------------------------
-# Long-lived duplex lanes (sharded executor plumbing)
-# ----------------------------------------------------------------------
-class LaneError(RuntimeError):
-    """A lane worker died or failed to answer within ``LANE_TIMEOUT``."""
-
-
-class ShardLane:
-    """One long-lived worker process on a duplex pipe.
-
-    :class:`WorkerPool` fans out *independent* units through queues;
-    the sharded grid executor instead needs *stateful* workers that
-    hold live simulation kernels across many synchronized barrier
-    rounds.  A lane is that: a forked process running
-    ``target(conn, *args)``, exchanged with over a ``Pipe``.  Message
-    framing is the caller's protocol; the lane only moves pickles.
-
-    Lanes deliberately have no retry machinery — a shard kernel's
-    state cannot be reconstructed mid-run, so a dead lane is a hard
-    error (:class:`LaneError`), not a retryable one.
-    """
-
-    def __init__(self, target: Callable[..., None], args: Sequence[Any] = (),
-                 name: str = "lane"):
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = multiprocessing.get_context("spawn")
-        self.name = name
-        self._conn, child_conn = ctx.Pipe(duplex=True)
-        self._proc = ctx.Process(target=target, name=name,
-                                 args=(child_conn, *args), daemon=True)
-        self._proc.start()
-        child_conn.close()
-
-    def send(self, message: Any) -> None:
-        try:
-            self._conn.send(message)
-        except (BrokenPipeError, OSError) as exc:
-            raise LaneError(f"{self.name}: worker gone ({exc})") from None
-
-    def recv(self, timeout: Optional[float] = LANE_TIMEOUT) -> Any:
-        if timeout is not None and not self._conn.poll(timeout):
-            raise LaneError(f"{self.name}: no reply within {timeout}s")
-        try:
-            return self._conn.recv()
-        except (EOFError, OSError):
-            raise LaneError(f"{self.name}: worker died "
-                            f"(exitcode {self._proc.exitcode})") from None
-
-    def request(self, message: Any,
-                timeout: Optional[float] = LANE_TIMEOUT) -> Any:
-        self.send(message)
-        return self.recv(timeout)
-
-    def close(self) -> None:
-        if self._proc.is_alive():
-            try:
-                self._conn.send(("close",))
-            except (BrokenPipeError, OSError):
-                pass
-        self._conn.close()
-        self._proc.join(timeout=5.0)
-        if self._proc.is_alive():  # pragma: no cover - stuck worker
-            self._proc.terminate()
-            self._proc.join(timeout=2.0)
 
 
 # ----------------------------------------------------------------------

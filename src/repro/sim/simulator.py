@@ -169,9 +169,8 @@ class Simulator:
         """Hash of the full executed-event record for byte-identity checks.
 
         Covers every log record (time, source, category, message) plus
-        the executed-event count and clock, mirroring the shard
-        executor's identity witness so monolithic and restored runs can
-        be compared directly.
+        the executed-event count and clock, so uninterrupted and
+        restored runs can be compared directly.
         """
         import hashlib
 

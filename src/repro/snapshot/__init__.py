@@ -5,11 +5,8 @@
 * :func:`save_world` / :func:`restore_world` — one-call snapshot of a
   monolithic world (grid worlds, Spire systems) into a self-describing
   container with a schema version and integrity digest;
-* :meth:`ShardedGridWorld.save/restore <repro.shard.runner.ShardedGridWorld>`
-  — the same contract for sharded worlds, shard-count independent;
-* :func:`run_with_checkpoints` and
-  ``ShardedGridWorld.enable_checkpoints`` — periodic auto-checkpoints
-  that provably do not perturb the event stream;
+* :func:`run_with_checkpoints` — periodic auto-checkpoints that
+  provably do not perturb the event stream;
 * :func:`nearest_snapshot` + :func:`replay_dump` — time-travel
   debugging: restore the checkpoint nearest a FlightRecorder violation
   dump and re-run its window under a fresh recorder;
@@ -24,7 +21,7 @@
 
 The invariant everything here is built on: **restore + run to T is
 byte-identical to an uninterrupted run to T** (event digest and report
-digest), for monolithic and sharded worlds alike.
+digest).
 """
 
 from repro.snapshot.core import (

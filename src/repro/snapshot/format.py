@@ -7,7 +7,7 @@ A snapshot file is self-describing::
     <payload bytes>                   pickled state
 
 The header carries the schema version, a ``kind`` discriminator
-(``"world"``, ``"sharded"``, ``"campaign-checkpoint"``), caller metadata
+(``"world"``, ``"campaign-checkpoint"``), caller metadata
 (spec, seed, simulated time, ...), and the payload's length and SHA-256
 digest.  :func:`read_header` inspects a snapshot without unpickling it
 — that is what lets the replay tooling scan a directory of checkpoints

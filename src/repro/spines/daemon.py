@@ -18,10 +18,9 @@ the port's group members — the running daemons with a session on it,
 which is why opening or closing a session, like stopping or starting a
 daemon, starts a new epoch of the view.  *All edges* — constrained
 flooding — is left to what the view cannot do better: a destination it
-does not contain (a peer shard's daemon), a daemon with no network at
-all, a segment other than a single edge with fewer than K disjoint
-paths, a multicast in a view holding a shard gateway (which speaks for
-members the view cannot see), and every RELIABLE retransmission.
+does not contain (such as the red team's own daemon), a daemon with no
+network at all, a segment other than a single edge with fewer than K
+disjoint paths, and every RELIABLE retransmission.
 Relays verify the hop MAC and the source signature (which covers the
 payload's digest, the payload's own signature and the route set), drop
 copies that arrive off the set, dedup on ``(src_daemon, seq)`` against
@@ -138,11 +137,6 @@ class SpinesDaemon(Process):
     daemon started outside any (the red team's own build), which can
     only flood to the neighbours it was told about.
     """
-
-    #: Whether this daemon speaks for daemons its network's view does
-    #: not hold (a shard gateway): multicast groups then have members
-    #: the view cannot see, and group messages take every edge.
-    speaks_for_unseen = False
 
     def __init__(self, sim, name: str, host: Host, port: int,
                  network_key_id: str, intrusion_tolerant: bool = True):

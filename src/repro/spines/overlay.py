@@ -272,18 +272,14 @@ class SpinesNetwork:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def add_daemon(self, host: Host, daemon_name: Optional[str] = None,
-                   factory=None) -> SpinesDaemon:
+    def add_daemon(self, host: Host,
+                   daemon_name: Optional[str] = None) -> SpinesDaemon:
         """Create a daemon on ``host`` and provision its keys.
 
         The daemon's signing key (for IT-mode source signatures) and the
         network symmetric key are installed into the *host* key ring —
         compromising the host therefore leaks them, as in a real
         deployment.
-
-        ``factory`` substitutes the daemon constructor (same signature
-        as :class:`SpinesDaemon`) — the sharded executor uses it to
-        place gateway daemons with identical key/firewall provisioning.
         """
         daemon_name = daemon_name or f"{self.name}.{host.name}"
         if daemon_name in self.daemons:
@@ -296,10 +292,9 @@ class SpinesNetwork:
             daemon_name, self.keystore.signing(daemon_name))
         if host.key_ring._verifier is None:
             host.key_ring._verifier = self.keystore
-        make = factory or SpinesDaemon
-        daemon = make(self.sim, daemon_name, host, self.port,
-                      self.key_id,
-                      intrusion_tolerant=self.intrusion_tolerant)
+        daemon = SpinesDaemon(self.sim, daemon_name, host, self.port,
+                              self.key_id,
+                              intrusion_tolerant=self.intrusion_tolerant)
         daemon.network = self
         self.daemons[daemon_name] = daemon
         # Firewall allowance: daemons accept overlay traffic on their port.
@@ -393,10 +388,8 @@ class SpinesNetwork:
         de-duplicated union of the unicast sets to its group members:
         the running daemons with a session on ``port``.  ``None`` — every
         edge — only where the view cannot do better: ``dst`` outside the
-        view (a peer shard's daemon), a segment other than a single edge
-        with fewer than K disjoint paths, and a multicast in a view that
-        holds a daemon speaking for daemons it cannot see (a shard
-        gateway, :attr:`SpinesDaemon.speaks_for_unseen`)."""
+        view (such as the red team's own daemon), and a segment other
+        than a single edge with fewer than K disjoint paths."""
         key = (src, dst) if dst != "*" else (src, dst, port)
         found = self._routes.get(key, _UNKNOWN)
         if found is _UNKNOWN:
@@ -416,11 +409,8 @@ class SpinesNetwork:
         return RouteSet(join_segments(segments))
 
     def _group_routes(self, src: str, port: int) -> Optional[RouteSet]:
-        daemons = self.daemons
-        if any(daemon.speaks_for_unseen for daemon in daemons.values()):
-            return None
         union: Dict[Tuple[str, ...], None] = {}
-        for name, daemon in daemons.items():
+        for name, daemon in self.daemons.items():
             if name != src and daemon.running and port in daemon.sessions:
                 found = self.route_set(src, name)
                 if found is None:

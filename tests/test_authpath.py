@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import Simulator
 from repro.crypto import (
-    KeyStore, Mac, Signature, UnserializableError, cache_stats,
+    KeyRing, KeyStore, Mac, Signature, UnserializableError, cache_stats,
     canonical_bytes, mac_payload, reset_cache_stats, set_cache_enabled,
     sign_payload, verify_mac, verify_signature,
 )
@@ -375,10 +375,23 @@ def test_pad_memo_is_bounded_and_eviction_is_harmless():
 # again when it gained the payload's own signature (``None`` here).  The
 # other five do not involve an ``OverlayMessage`` and did not move.
 # ---------------------------------------------------------------------------
+def _golden_key(tag: bytes, name: str) -> bytes:
+    return hashlib.sha256(tag + name.encode() + b"authpath-golden").digest()
+
+
 def _golden_ring():
-    store = KeyStore(root_secret=b"authpath-golden")
-    return store.ring_for(symmetric_ids=["spines.internal"],
-                          signing_principals=["replica1", "proxy-a"])
+    """A ring holding ``spines.internal`` and the signing keys of
+    ``replica1`` and ``proxy-a``, each a fixed function of its name; a
+    second ring with the same signing keys is its public-key registry."""
+    registry = KeyRing()
+    ring = KeyRing(verifier=registry)
+    ring.install_symmetric("spines.internal",
+                           _golden_key(b"sym:", "spines.internal"))
+    for principal in ("replica1", "proxy-a"):
+        key = _golden_key(b"sig:", principal)
+        registry.install_signing(principal, key)
+        ring.install_signing(principal, key)
+    return ring
 
 
 def test_golden_tags_are_byte_identical_to_the_parent():

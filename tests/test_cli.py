@@ -1,6 +1,10 @@
 """Tests for the spire-sim command-line interface."""
 
 import io
+import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -41,8 +45,6 @@ def test_chaos_list_command():
 
 
 def test_chaos_command_produces_report(tmp_path):
-    import json
-
     report_path = tmp_path / "report.json"
     code, _output = run_cli(["--seed", "1", "chaos",
                              "--scenarios", "baseline,byzantine-storm",
@@ -59,8 +61,6 @@ def test_chaos_command_produces_report(tmp_path):
 
 
 def test_chaos_command_writes_deployment_report_and_dumps(tmp_path):
-    import json
-
     report_path = tmp_path / "deployment.md"
     dumps_dir = tmp_path / "dumps"
     code, _output = run_cli(["--seed", "3", "chaos",
@@ -80,8 +80,6 @@ def test_chaos_command_writes_deployment_report_and_dumps(tmp_path):
 
 
 def test_report_command_renders_all_formats(tmp_path):
-    import json
-
     json_path = tmp_path / "report.json"
     md_path = tmp_path / "report.md"
     html_path = tmp_path / "report.html"
@@ -108,3 +106,50 @@ def test_report_command_plant_only_prints_markdown():
     assert output.startswith("# Spire deployment report")
     assert "Reaction-time distributions" in output
     assert "Per-hop latency" in output
+
+
+# ---------------------------------------------------------------------------
+# Bad input ends in one line on stderr and argparse's status, not a traceback
+# ---------------------------------------------------------------------------
+def run_cli_process(argv, cwd):
+    """Run ``spire-sim`` in a child interpreter, so an uncaught exception
+    shows as the traceback a user would see."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "repro.cli"] + argv,
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def assert_one_line_error(result, message):
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines() == [f"spire-sim: error: {message}"]
+
+
+def test_restoring_a_file_that_is_not_a_snapshot_is_one_line(tmp_path):
+    (tmp_path / "garbage.snap").write_bytes(b"garbage")
+    result = run_cli_process(["snapshot", "restore", "garbage.snap"],
+                             tmp_path)
+    assert_one_line_error(
+        result, "garbage.snap: not a snapshot file (bad magic b'garbage')")
+
+
+def test_restoring_a_sharded_container_is_refused_by_name(tmp_path):
+    from repro.snapshot.format import dumps
+
+    (tmp_path / "sharded.snap").write_bytes(
+        dumps("sharded", {"kernels": {}}, {"now": 1.0}))
+    result = run_cli_process(["snapshot", "restore", "sharded.snap"],
+                             tmp_path)
+    assert_one_line_error(
+        result, "sharded.snap: expected a 'world' snapshot, found 'sharded'")
+
+
+def test_a_malformed_grid_spec_is_one_line(tmp_path):
+    (tmp_path / "bad.json").write_text(json.dumps(
+        {"name": "bad", "substations": [{"name": "s1", "rtus": 0}]}))
+    result = run_cli_process(["grid", "--spec", "bad.json"], tmp_path)
+    assert_one_line_error(
+        result, "bad.json: spec.substations[0].rtus: must be >= 1, got 0")

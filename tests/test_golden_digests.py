@@ -2,21 +2,22 @@
 simulated program the same.
 
 Every other identity check in the tree compares two runs of the *same*
-commit (jobs 1 vs 2, warm vs cold, sharded vs monolithic, traced vs
-untraced).  These literals were captured on the commit *before* the
-per-hop fast path (PR 13) and must only ever be re-captured by a PR
-that means to change behaviour and says so.
+commit (jobs 1 vs 2, warm vs cold, traced vs untraced).  These
+literals were captured on the commit *before* the per-hop fast path
+(PR 13) and must only ever be re-captured by a PR that means to change
+behaviour and says so.
 
 Re-captured twice, each time in a commit of its own, by changes to how
 Spines disseminates: K node-disjoint paths instead of a flood for a
 well-connected unicast (``single_plant`` 226 997 -> 47 348 events in 3
 sim-s), then route sets for every message — K paths through a pair's
 separators, the union of the members' sets for a multicast group
-(47 348 -> 30 569).  Each time the eight event/report literals below
-moved and nothing else did (signature changes moved tags, which feed no
-event); what had to stay put while they moved is pinned by
-``tests/test_outcome_witness.py``, captured before either change.  The
-commercial LAN runs no Spines and kept its literal.  Stable Prime
+(47 348 -> 30 569).  Each time the event/report literals of the
+Spines worlds below moved and nothing else did (signature changes
+moved tags, which feed no event); what had to stay put while they
+moved is pinned by ``tests/test_outcome_witness.py``, captured before
+either change.  The commercial LAN runs no Spines and kept its
+literal.  Stable Prime
 checkpoints then moved two literals, each re-captured in a commit of
 its own: an ``AruExchange`` carrying a checkpoint is 40 bytes longer,
 which shows in the ``single_plant`` metrics export (the internal links'
@@ -34,7 +35,7 @@ literal to a count.
 import hashlib
 
 from repro.api import (
-    GridSpec, ShardedGridWorld, Simulator, build_redteam_testbed,
+    GridSpec, Simulator, build_redteam_testbed,
     build_world, make_town_spec, report_digest, run_campaign,
 )
 from repro.net import Host, Lan
@@ -110,19 +111,10 @@ def test_crash_recover_campaign_cell_with_mana():
         "8f8ff068055dabc8534400a3368eaf2fda6d5871729516177e625bfc3ce368af")
 
 
-# The four below cover the builders no literal above reaches: the shard
-# kernels, the Fig. 3 testbed, a grid campaign cell (warm restore,
-# cell-started proactive recovery), and a site on the DNP3 proxy with
+# The three below cover the builders no literal above reaches: the
+# Fig. 3 testbed, a grid campaign cell (warm restore, cell-started
+# proactive recovery), and a site on the DNP3 proxy with
 # threshold-signed directives.
-def test_sharded_town5_3s():
-    with ShardedGridWorld(make_town_spec(5), shards=1) as world:
-        world.start_workload(4, start=0.3, interval=0.6)
-        world.run(until=3.0)
-        digest = world.event_digest()
-    assert digest == (
-        "4fa7c1c3294628d4f94b41f919507fc1b39125c58e83073bc14e82474b6863c1")
-
-
 def test_redteam_testbed_3s():
     sim = Simulator(seed=3)
     testbed = build_redteam_testbed(sim)

@@ -27,9 +27,7 @@ import json
 
 import pytest
 
-from repro.api import (
-    GridSpec, ShardedGridWorld, build_world, make_town_spec, run_campaign,
-)
+from repro.api import GridSpec, build_world, make_town_spec, run_campaign
 from repro.faults.campaign import BUILTIN_SCENARIOS
 from repro.faults.monitors import MonitorSuite
 from repro.prime.replica import STATE_NORMAL
@@ -45,12 +43,14 @@ def _digest(value) -> str:
         json.dumps(value, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def _run_and_observe(deployment, sim, clients, hmis, units, commands,
-                     until, advance):
+def _observe_world(world, commands, until):
     """Drive ``commands`` (``(time, hmi index, plc, breaker, close)``)
-    through ``deployment``'s HMIs, run to ``until`` with ``advance`` and
-    return the outcome as plain data."""
-    suite = MonitorSuite(sim, deployment)
+    through ``world``'s HMIs, run to ``until`` and return the outcome as
+    plain data."""
+    sim, clients, hmis = world.sim, world.clients, world.hmis
+    units = [unit for substation in world.substations.values()
+             for unit in substation.units.values()]
+    suite = MonitorSuite(sim, world)
     for client in clients:
         suite.watch_client(client)
     suite.start()
@@ -59,7 +59,7 @@ def _run_and_observe(deployment, sim, clients, hmis, units, commands,
     next_seq = {}
     sim.at(until - DRAIN, lambda: next_seq.update(
         (client.client_id, client.next_seq) for client in clients))
-    advance(until)
+    world.run(until)
 
     submitted = sorted((client_id, seq)
                        for client_id, upto in next_seq.items()
@@ -67,7 +67,7 @@ def _run_and_observe(deployment, sim, clients, hmis, units, commands,
     by_id = {client.client_id: client for client in clients}
     unconfirmed = [key for key in submitted
                    if key[1] not in by_id[key[0]].confirmed]
-    correct = {name: replica for name, replica in deployment.replicas.items()
+    correct = {name: replica for name, replica in world.replicas.items()
                if replica.running and replica.state == STATE_NORMAL}
     unexecuted = sorted(
         (name,) + key for name, replica in correct.items()
@@ -96,29 +96,6 @@ def _run_and_observe(deployment, sim, clients, hmis, units, commands,
         "hmis_match_field": all(hmi.view == field for hmi in hmis),
         "violations": sorted({v.monitor for v in suite.violations}),
     }
-
-
-def _observe_world(world, commands, until):
-    units = [unit for substation in world.substations.values()
-             for unit in substation.units.values()]
-    return _run_and_observe(world, world.sim, world.clients, world.hmis,
-                            units, commands, until, world.run)
-
-
-def _observe_sharded(world, commands, until):
-    """The same observation over a ``shards=1`` world, whose kernels
-    live in this process: the core kernel holds replicas, HMIs and
-    clients, every substation kernel its own field devices."""
-    kernels = world._lane_of["core"]._worker.kernels
-    core = kernels["core"]
-    units = [unit for name, kernel in kernels.items() if name != "core"
-             for unit in kernel.substation.units.values()]
-    clients = [kernel.proxy.client for name, kernel in kernels.items()
-               if name != "core"] \
-        + [hmi.client for hmi in core.hmis] \
-        + [population.client for population in core.populations]
-    return _run_and_observe(core, core.sim, clients, core.hmis, units,
-                            commands, until, world.run)
 
 
 PLANT_COMMANDS = [
@@ -163,14 +140,6 @@ def test_single_plant_outcome():
 def test_town5_outcome():
     world = build_world(make_town_spec(5))
     assert _observe_world(world, TOWN_COMMANDS, until=4.0) == TOWN_OUTCOME
-
-
-def test_sharded_town5_outcome():
-    with ShardedGridWorld(make_town_spec(5), shards=1) as world:
-        # The kernel decomposition changes how traffic crosses the
-        # grid, not what the grid does: same literal as the monolith.
-        assert _observe_sharded(world, TOWN_COMMANDS,
-                                until=4.0) == TOWN_OUTCOME
 
 
 def _cell(confirmed, injected, reverted, violations=(), over=False):

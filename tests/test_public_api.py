@@ -40,8 +40,6 @@ API_EXPORTS = {
     "build_grid_section", "render_report",
     # Parallel sweep engine
     "UnitResult", "WorkUnit", "WorkerPool",
-    # Sharded execution (one world, many processes, identical results)
-    "ShardConfigError", "ShardedGridWorld",
     # Checkpoint/restore and time-travel replay
     "SnapshotError", "nearest_snapshot", "read_header", "replay_dump",
     "restore_world", "restore_world_bytes", "run_with_checkpoints",

@@ -3,9 +3,8 @@
 The load-bearing property everything else leans on: **restoring a
 snapshot taken at T/2 and running to T is byte-identical to an
 uninterrupted run to T** — the event digest (every executed event) and
-the campaign report digest are the witnesses.  Holds for monolithic and
-sharded worlds, across seeds and shard counts, and for crash-resumed
-campaigns.
+the campaign report digest are the witnesses.  Holds for grid worlds
+across seeds, and for crash-resumed campaigns.
 """
 
 import gc
@@ -337,66 +336,6 @@ class TestCheckpointsAndReplay:
         with pytest.raises(SnapshotError, match="earlier checkpoint"):
             replay_dump({"window": {"since": 1.5, "until": 2.5}},
                         paths[-1])
-
-
-# ----------------------------------------------------------------------
-# Sharded worlds: restore under any shard count
-# ----------------------------------------------------------------------
-class TestShardedRestore:
-    def test_sharded_restore_is_byte_identical(self, tmp_path):
-        from repro.shard import ShardedGridWorld
-
-        spec = make_town_spec(5, seed=3)
-        straight = ShardedGridWorld(spec, shards=1, seed=3)
-        try:
-            straight.start_workload(6, start=0.3, interval=0.6)
-            straight.run(until=T_FULL)
-            reference = straight.event_digest()
-        finally:
-            straight.close()
-
-        world = ShardedGridWorld(spec, shards=1, seed=3)
-        path = str(tmp_path / "sharded.snap")
-        try:
-            world.start_workload(6, start=0.3, interval=0.6)
-            world.run(until=T_HALF)
-            world.save(path)
-        finally:
-            world.close()
-        assert read_header(path)["kind"] == "sharded"
-
-        # The snapshot is placement-independent: restore under either
-        # shard count and reach the same digest.
-        for shards in (1, 2):
-            restored = ShardedGridWorld.restore(path, shards=shards)
-            try:
-                restored.run(until=T_FULL)
-                assert restored.event_digest() == reference, \
-                    f"shards={shards} diverged after restore"
-            finally:
-                restored.close()
-
-    def test_sharded_auto_checkpoints(self, tmp_path):
-        from repro.shard import ShardedGridWorld
-
-        spec = make_town_spec(5, seed=3)
-        world = ShardedGridWorld(spec, shards=1, seed=3)
-        try:
-            world.start_workload(6, start=0.3, interval=0.6)
-            world.enable_checkpoints(str(tmp_path), every=1.0)
-            world.run(until=T_FULL)
-            digest = world.event_digest()
-        finally:
-            world.close()
-        entries = snapshot_format.scan_dir(str(tmp_path), kind="sharded")
-        assert len(entries) >= 2
-        # The last auto-checkpoint restores and matches the live world.
-        restored = ShardedGridWorld.restore(entries[-1][0], shards=1)
-        try:
-            restored.run(until=T_FULL)
-            assert restored.event_digest() == digest
-        finally:
-            restored.close()
 
 
 # ----------------------------------------------------------------------

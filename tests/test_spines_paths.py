@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from repro.api import GridSpec, Simulator, build_world, make_town_spec
 from repro.crypto import KeyStore, sign_payload
 from repro.net import Host, Lan, locked_down_firewall
-from repro.shard import GatewayDaemon
 from repro.spines import (
     IT_FLOOD, LinkEnvelope, OverlayMessage, RELIABLE, SpinesNetwork,
 )
@@ -229,9 +228,8 @@ def test_paths_are_identical_under_two_hash_seeds():
 # ---------------------------------------------------------------------------
 # The forwarding rule on small overlays
 # ---------------------------------------------------------------------------
-def build(edges, seed=5, gateway=None, **options):
-    """An IT-mode overlay over the daemons ``edges`` name, ``gateway``
-    (if any) a shard gateway."""
+def build(edges, seed=5, **options):
+    """An IT-mode overlay over the daemons ``edges`` name."""
     sim = Simulator(seed=seed)
     names = sorted({name for edge in edges for name in edge})
     lan = Lan(sim, "net", "10.0.0.0/24", ports=len(names) + 2)
@@ -240,8 +238,7 @@ def build(edges, seed=5, gateway=None, **options):
     for name in names:
         host = Host(sim, name, firewall=locked_down_firewall())
         lan.connect(host)
-        overlay.add_daemon(host, name,
-                           factory=GatewayDaemon if name == gateway else None)
+        overlay.add_daemon(host, name)
     for a, b in edges:
         overlay.add_edge(a, b)
     lan.harden()        # static ARP: a downed link loses frames, not ARP
@@ -334,18 +331,6 @@ def test_multicast_touches_its_members_and_their_paths_only():
     overlay.daemons["p"].sessions[50].close()
     assert recomputes.value == before + 2
     assert overlay.route_set("a", "*", 50) == overlay.route_set("a", "b")
-
-
-def test_a_view_holding_a_gateway_floods_multicast():
-    """A shard gateway speaks for daemons the view cannot see, so its
-    view cannot know a group's members; unicast is unaffected."""
-    sim, overlay = build(DIAMOND + [("p", "g")], gateway="g")
-    listen(overlay, "b")
-    sender = overlay.daemons["a"].create_session(51, lambda s, p: None)
-    assert overlay.route_set("a", "*", 50) is None
-    assert overlay.route_set("a", "b") == (("a", "m", "b"),
-                                           ("a", "x", "y", "b"))
-    assert sum(sent(sim, overlay, sender, "*", "all").values()) == 2 * 7 - 6
 
 
 def test_reliable_retry_floods_and_delivery_still_dedups():
